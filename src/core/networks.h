@@ -23,6 +23,12 @@ struct TwoPartNet {
     return head->Forward(features->Forward(input, training), training);
   }
 
+  /// Backward from a logits gradient through head then features; returns
+  /// the input gradient. Parameter gradients accumulate (nn::Layer).
+  Tensor Backward(const Tensor& grad_logits) {
+    return features->Backward(head->Backward(grad_logits));
+  }
+
   /// Stateless inference to logits (see nn::Layer::Infer): const and
   /// cache-free, safe to call concurrently over disjoint row shards.
   Tensor InferLogits(const Tensor& input) const {

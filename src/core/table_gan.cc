@@ -63,6 +63,109 @@ constexpr uint64_t kCondStreamTag = 0x436F6E64ULL;  // "Cond"
 // critic while staying far above float cancellation noise.
 constexpr float kGpFdEpsilon = 1e-2f;
 
+// Option checks that need no data.
+Status ValidateOptions(const TableGanOptions& o) {
+  if (o.checkpoint_every < 0) {
+    return Status::InvalidArgument("checkpoint_every must be >= 0");
+  }
+  if (o.checkpoint_every > 0 && o.checkpoint_dir.empty()) {
+    return Status::InvalidArgument(
+        "checkpoint_every requires a checkpoint_dir");
+  }
+  if (o.gmm_components < 1 || o.gmm_components > 64) {
+    return Status::InvalidArgument("gmm_components must be in [1, 64], got " +
+                                   std::to_string(o.gmm_components));
+  }
+  if (o.sn_power_iters < 1) {
+    return Status::InvalidArgument("sn_power_iters must be >= 1");
+  }
+  if (o.guard_warmup_epochs < 0 || o.guard_max_rollbacks < 0) {
+    return Status::InvalidArgument(
+        "guard_warmup_epochs and guard_max_rollbacks must be >= 0");
+  }
+  return Status::OK();
+}
+
+// Label and GMM column indices against the table. Fills the per-column
+// normalizer selection (DESIGN.md §16): min-max everywhere unless a
+// column opted into the GMM encoding. Label columns stay min-max so
+// their encoded cell is the single scalar the classifier and the
+// conditioning vector read.
+Status ValidateColumns(const data::TableView& table,
+                       const std::vector<int>& label_cols,
+                       const TableGanOptions& o,
+                       std::vector<data::ColumnNormalizerSpec>* specs) {
+  if (table.num_rows() < 4) {
+    return Status::InvalidArgument("need at least 4 training rows");
+  }
+  if (label_cols.empty()) {
+    return Status::InvalidArgument("at least one label column required");
+  }
+  const int num_cols = table.num_columns();
+  for (size_t i = 0; i < label_cols.size(); ++i) {
+    const int label_col = label_cols[i];
+    if (label_col < 0 || label_col >= num_cols) {
+      return Status::InvalidArgument(
+          "label column index " + std::to_string(label_col) +
+          " out of range [0, " + std::to_string(num_cols) + ")");
+    }
+    if (std::find(label_cols.begin(), label_cols.begin() + i, label_col) !=
+        label_cols.begin() + i) {
+      return Status::InvalidArgument("duplicate label column index " +
+                                     std::to_string(label_col));
+    }
+  }
+  if (!o.gmm_columns.empty()) specs->resize(static_cast<size_t>(num_cols));
+  for (int c : o.gmm_columns) {
+    if (c < 0 || c >= num_cols) {
+      return Status::InvalidArgument(
+          "GMM column index " + std::to_string(c) + " out of range [0, " +
+          std::to_string(num_cols) + ")");
+    }
+    if (std::find(label_cols.begin(), label_cols.end(), c) !=
+        label_cols.end()) {
+      return Status::InvalidArgument(
+          "GMM column index " + std::to_string(c) + " is a label column");
+    }
+    (*specs)[static_cast<size_t>(c)].kind = data::NormalizerKind::kGmm;
+    (*specs)[static_cast<size_t>(c)].components = o.gmm_components;
+  }
+  return Status::OK();
+}
+
+// Conditional models need the label vocabulary: SampleConditional
+// validates requested levels against it, and unpinned label columns draw
+// from the empirical frequencies at synthesis time.
+Status LabelVocabulary(const data::TableView& table,
+                       const std::vector<int>& label_cols,
+                       std::vector<std::vector<double>>* levels_out,
+                       std::vector<std::vector<double>>* freqs_out) {
+  for (int col : label_cols) {
+    const double* colp = table.column_data(col);
+    std::vector<double> vals(colp, colp + table.num_rows());
+    std::sort(vals.begin(), vals.end());
+    std::vector<double> levels;
+    std::vector<double> freqs;
+    for (size_t i = 0; i < vals.size(); ++i) {
+      if (levels.empty() || vals[i] != levels.back()) {
+        levels.push_back(vals[i]);
+        freqs.push_back(0.0);
+      }
+      freqs.back() += 1.0;
+    }
+    if (levels.size() > 64) {
+      return Status::InvalidArgument(
+          "conditional training supports at most 64 distinct label "
+          "values, but column " +
+          std::to_string(col) + " has " + std::to_string(levels.size()));
+    }
+    for (double& f : freqs) f /= static_cast<double>(table.num_rows());
+    levels_out->push_back(std::move(levels));
+    freqs_out->push_back(std::move(freqs));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 TableGan::TableGan(TableGanOptions options)
@@ -71,15 +174,615 @@ TableGan::TableGan(TableGanOptions options)
       sample_stream_seed_(
           MixSeeds(static_cast<uint64_t>(options.seed), kSampleStreamTag)) {}
 
-void TableGan::RemoveLabelInto(const Tensor& matrices, Tensor* out) const {
-  *out = matrices;  // copy-assign reuses the destination's capacity
+void TableGan::ZeroLabelCells(Tensor* matrices) const {
   const int64_t cells = static_cast<int64_t>(side_) * side_;
-  const int64_t n = out->dim(0);
-  for (int64_t i = 0; i < n; ++i) {
+  for (int64_t i = 0; i < matrices->dim(0); ++i) {
     for (size_t j = 0; j < label_cols_.size(); ++j) {
-      (*out)[i * cells + label_cell(static_cast<int>(j))] = 0.0f;
+      (*matrices)[i * cells + label_cell(static_cast<int>(j))] = 0.0f;
     }
   }
+}
+
+// One Fit call (paper Algorithm 2): the optimizers, info-loss and
+// stability state, the last-good snapshot and the hoisted batch
+// buffers, with one method per phase. FitMultiLabel drives the epochs.
+class TableGan::Trainer {
+ public:
+  Trainer(TableGan* gan, const data::TableView& table)
+      : gan_(*gan),
+        o_(gan->options_),
+        table_(table),
+        guard_(o_.guard_ewma_weight, o_.guard_factor,
+               o_.guard_warmup_epochs),
+        guard_active_(o_.divergence_action != DivergenceAction::kOff) {}
+
+  Status Setup(std::vector<int> label_cols);
+  int start_epoch() const { return start_epoch_; }
+  // Trains one epoch; returns the next epoch to run (earlier after a
+  // rollback).
+  Result<int> RunEpoch(int epoch);
+
+ private:
+  // Per-epoch counters for the metrics record.
+  struct Tally {
+    int batches = 0;
+    int64_t examples = 0;
+    double d_seconds = 0.0, c_seconds = 0.0, g_seconds = 0.0;
+    uint64_t ws_takes0 = 0, ws_misses0 = 0;
+    Stopwatch watch;
+  };
+
+  Status Commit(std::vector<int> label_cols);
+  void AssembleBatch(int64_t start, int64_t bsize);
+  void FillLatent();
+  void StepD();
+  void BceCriticStep(const Tensor& fake);
+  void WganCriticStep(const Tensor& fake);
+  void StepC();
+  void StepG();
+  void AddClassifierGrad(const Tensor& fake, Tensor* grad_fake);
+  Result<int> EndEpoch(int epoch, const Tally& tally);
+  Status ReportMetrics(int epoch, const Tally& tally,
+                       const std::string& anomaly);
+  Result<int> Rewind(int epoch, const std::string& anomaly);
+  Status EnsureCheckpointDir() const;
+  void TakeSnapshot(int epochs_done) {
+    state_.epochs_completed = epochs_done;
+    gan_.EncodeCheckpoint(&state_, &snapshot_);
+  }
+
+  TableGan& gan_;
+  const TableGanOptions& o_;
+  const data::TableView& table_;
+  std::unique_ptr<nn::Adam> adam_g_, adam_d_, adam_c_;
+  std::unique_ptr<InfoLossState> info_;
+  std::unique_ptr<nn::SpectralNormRegularizer> sn_;  // kSpectralNorm only
+  DivergenceGuard guard_;
+  const bool guard_active_;
+  // Borrowed views of the state above, in the shape the checkpoint codec
+  // reads and writes.
+  TrainingState state_;
+  // Last-good training state for the divergence guardrail: the encoded
+  // checkpoint of the most recent healthy epoch (DESIGN.md §15).
+  std::string snapshot_;
+  int start_epoch_ = 0;
+
+  int64_t n_ = 0, batch_ = 0, cells_ = 0, k_ = 0, bsize_ = 0;
+  std::vector<int64_t> order_;
+  EpochStats stats_;
+  // Batch-assembly and loss-gradient buffers, reused across steps so the
+  // steady-state step allocates nothing: ResizeUninitialized keeps each
+  // tensor's capacity once the first (largest) batch has sized it.
+  Tensor x_, labels_, ones_, zeros_, z_;
+  Tensor seed_, cgrad_, cin_, pred_, grad_logit_;
+  // WGAN-GP scratch: the interpolated batch, its per-sample critic input
+  // gradients (normalized in place), the perturbed batch of the
+  // finite-difference passes and the per-sample output seeds.
+  Tensor xhat_, vhat_, pert_, gp_seed_;
+  std::vector<float> gp_coefs_;
+};
+
+// Validates every option and the data-dependent record shape before
+// touching the model, then commits schema, labels, normalizer, codec and
+// label vocabulary. A failure leaves the model exactly as it was.
+Status TableGan::Trainer::Commit(std::vector<int> label_cols) {
+  TABLEGAN_RETURN_NOT_OK(ValidateOptions(o_));
+  std::vector<data::ColumnNormalizerSpec> specs;
+  TABLEGAN_RETURN_NOT_OK(ValidateColumns(table_, label_cols, o_, &specs));
+  // One fitting pass over the view; no encoded copy of the table is ever
+  // built. Mini-batches are encoded on the fly straight from the view's
+  // column pointers, so training an mmap'd columnar file touches each
+  // page as its rows come up in the shuffle and peak memory is O(batch),
+  // not O(table).
+  data::RecordNormalizer normalizer;
+  TABLEGAN_RETURN_NOT_OK(normalizer.Fit(table_, specs));
+  // The record matrix holds the encoded row, which GMM columns widen
+  // beyond the attribute count (1 + modes cells each).
+  const int width = normalizer.encoded_width();
+  const int side =
+      o_.side > 0 ? o_.side : data::RecordMatrixCodec::ChooseSide(width);
+  TABLEGAN_RETURN_NOT_OK(data::RecordMatrixCodec::Validate(width, side));
+  std::vector<std::vector<double>> levels, freqs;
+  if (o_.conditional) {
+    TABLEGAN_RETURN_NOT_OK(
+        LabelVocabulary(table_, label_cols, &levels, &freqs));
+  }
+  gan_.schema_ = table_.schema();
+  gan_.label_cols_ = std::move(label_cols);
+  gan_.normalizer_ = std::move(normalizer);
+  gan_.side_ = side;
+  gan_.codec_ = std::make_unique<data::RecordMatrixCodec>(width, side);
+  gan_.label_levels_ = std::move(levels);
+  gan_.label_level_freqs_ = std::move(freqs);
+  return Status::OK();
+}
+
+Status TableGan::Trainer::Setup(std::vector<int> label_cols) {
+  TABLEGAN_RETURN_NOT_OK(Commit(std::move(label_cols)));
+  k_ = static_cast<int64_t>(gan_.label_cols_.size());
+  gan_.generator_ = BuildGenerator(gan_.side_, o_.latent_dim + gan_.cond_dim(),
+                                   o_.base_channels, &gan_.rng_);
+  gan_.discriminator_ =
+      BuildDiscriminator(gan_.side_, o_.base_channels, &gan_.rng_);
+  gan_.classifier_ = BuildDiscriminator(gan_.side_, o_.base_channels,
+                                        &gan_.rng_, static_cast<int>(k_));
+  auto adam = [this](std::vector<Tensor*> params, std::vector<Tensor*> grads) {
+    return std::make_unique<nn::Adam>(std::move(params), std::move(grads),
+                                      o_.learning_rate, o_.adam_beta1,
+                                      o_.adam_beta2);
+  };
+  adam_g_ = adam(gan_.generator_->Parameters(), gan_.generator_->Gradients());
+  adam_d_ = adam(gan_.discriminator_.Parameters(),
+                 gan_.discriminator_.Gradients());
+  adam_c_ = adam(gan_.classifier_.Parameters(), gan_.classifier_.Gradients());
+  info_ = std::make_unique<InfoLossState>(gan_.discriminator_.feature_dim,
+                                          o_.ewma_weight, o_.delta_mean,
+                                          o_.delta_sd);
+  // Bind the shared buffer pool to every network and the info-loss state
+  // so each training-step tensor is recycled instead of reallocated. The
+  // pool changes where buffers live, never their contents (DESIGN.md
+  // memory model), so training is bitwise identical with the flag off.
+  // The old pool (if any) is replaced only after the networks holding
+  // tensors from it have been rebuilt above.
+  if (!o_.reuse_workspace) {
+    gan_.ws_.reset();
+  } else {
+    gan_.ws_ = std::make_unique<Workspace>();
+    for (nn::Sequential* net : gan_.Networks()) {
+      net->SetWorkspace(gan_.ws_.get());
+    }
+    info_->BindWorkspace(gan_.ws_.get());
+  }
+  if (o_.loss_mode == LossMode::kSpectralNorm) {
+    sn_ = std::make_unique<nn::SpectralNormRegularizer>(
+        gan_.discriminator_.Parameters(), gan_.discriminator_.Gradients(),
+        o_.sn_weight, o_.sn_power_iters,
+        MixSeeds(static_cast<uint64_t>(o_.seed), kSpectralStreamTag));
+    if (gan_.ws_ != nullptr) sn_->BindWorkspace(gan_.ws_.get());
+  }
+  state_ = TrainingState{0,           adam_g_.get(), adam_d_.get(),
+                         adam_c_.get(), info_.get(), &guard_,
+                         sn_.get()};
+
+  n_ = table_.num_rows();
+  batch_ = std::max<int64_t>(2, std::min<int64_t>(o_.batch_size, n_));
+  cells_ = static_cast<int64_t>(gan_.side_) * gan_.side_;
+  order_.resize(static_cast<size_t>(n_));
+  gan_.history_.clear();
+  if (!o_.resume_from.empty()) {
+    // Continue a checkpointed run: restores weights, optimizer moments,
+    // the RNG stream, EWMA statistics and history, so the remaining
+    // epochs replay exactly what an uninterrupted run would compute.
+    TABLEGAN_RETURN_NOT_OK(gan_.RestoreTrainingState(o_.resume_from, &state_));
+    start_epoch_ = state_.epochs_completed;
+    if (o_.verbose) {
+      TABLEGAN_LOG(Info) << "resumed from " << o_.resume_from << " at epoch "
+                         << start_epoch_;
+    }
+  }
+  if (o_.checkpoint_every > 0) TABLEGAN_RETURN_NOT_OK(EnsureCheckpointDir());
+  if (guard_active_) TakeSnapshot(start_epoch_);
+  return Status::OK();
+}
+
+Status TableGan::Trainer::EnsureCheckpointDir() const {
+  std::error_code ec;
+  std::filesystem::create_directories(o_.checkpoint_dir, ec);
+  if (ec) {
+    return Status::IOError("cannot create checkpoint_dir " +
+                           o_.checkpoint_dir + ": " + ec.message());
+  }
+  return Status::OK();
+}
+
+Result<int> TableGan::Trainer::RunEpoch(int epoch) {
+  // Re-derive the permutation from identity each epoch: an in-place
+  // shuffle of the previous epoch's order would make the batch sequence
+  // depend on history a checkpoint does not carry, breaking bitwise
+  // resume.
+  for (int64_t i = 0; i < n_; ++i) order_[static_cast<size_t>(i)] = i;
+  gan_.rng_.Shuffle(&order_);
+  stats_ = EpochStats();
+  Tally tally;
+  if (gan_.ws_ != nullptr) {
+    tally.ws_takes0 = gan_.ws_->takes();
+    tally.ws_misses0 = gan_.ws_->misses();
+  }
+  Stopwatch phase;
+  // Every row is visited: the final short batch of `n mod batch` rows
+  // trains too. The one exception is a 1-row tail, which is skipped
+  // because BatchNorm's batch variance is identically zero on a single
+  // sample.
+  for (int64_t start = 0; start < n_; start += batch_) {
+    const int64_t bsize = std::min<int64_t>(batch_, n_ - start);
+    if (bsize < 2) break;
+    AssembleBatch(start, bsize);
+    phase.Restart();
+    StepD();
+    tally.d_seconds += phase.ElapsedSeconds();
+    phase.Restart();
+    if (o_.use_classifier) StepC();
+    tally.c_seconds += phase.ElapsedSeconds();
+    phase.Restart();
+    StepG();
+    tally.g_seconds += phase.ElapsedSeconds();
+    ++tally.batches;
+    tally.examples += bsize;
+  }
+  return EndEpoch(epoch, tally);
+}
+
+// The real mini-batch (Alg. 2 line 6): zero the pad cells (exactly what
+// the codec writes there), then encode the batch's rows directly from
+// the view — bitwise identical to gathering rows of a precomputed
+// Transform+ToMatrices tensor (see MinMaxNormalizer::EncodeRowsInto).
+void TableGan::Trainer::AssembleBatch(int64_t start, int64_t bsize) {
+  bsize_ = bsize;
+  x_.ResizeUninitialized({bsize, 1, gan_.side_, gan_.side_});
+  x_.SetZero();
+  gan_.normalizer_.EncodeRowsInto(table_, order_.data() + start, bsize,
+                                  x_.data(), cells_);
+  // Ground-truth labels l(x) in {0,1}: decode the label cells from the
+  // [-1,1] encoding.
+  labels_.ResizeUninitialized({bsize, k_});
+  for (int64_t b = 0; b < bsize; ++b) {
+    for (int64_t j = 0; j < k_; ++j) {
+      labels_.at2(b, j) =
+          0.5f * (x_[b * cells_ + gan_.label_cell(static_cast<int>(j))] +
+                  1.0f);
+    }
+  }
+  ones_.ResizeUninitialized({bsize, 1});
+  ones_.Fill(1.0f);
+  zeros_.ResizeUninitialized({bsize, 1});
+  zeros_.SetZero();
+}
+
+// Latent draws for the batch; conditional models append the real
+// batch's encoded label cells (cGAN-style), so the generator learns its
+// conditioning from pairs whose condition matches a real record.
+void TableGan::Trainer::FillLatent() {
+  const int64_t latent = o_.latent_dim;
+  const int64_t zdim = latent + gan_.cond_dim();
+  z_.ResizeUninitialized({bsize_, zdim});
+  z_.FillUniform(-1.0f, 1.0f, &gan_.rng_);
+  for (int64_t j = latent; j < zdim; ++j) {
+    const int64_t cell = gan_.label_cell(static_cast<int>(j - latent));
+    for (int64_t b = 0; b < bsize_; ++b) z_.at2(b, j) = x_[b * cells_ + cell];
+  }
+}
+
+// Discriminator update (Alg. 2 line 8).
+void TableGan::Trainer::StepD() {
+  FillLatent();
+  Tensor fake = gan_.generator_->Forward(z_, /*training=*/true);
+  switch (o_.loss_mode) {
+    case LossMode::kDcgan:
+    case LossMode::kSpectralNorm:
+      BceCriticStep(fake);
+      break;
+    case LossMode::kWganGp:
+      WganCriticStep(fake);
+      break;
+  }
+  adam_d_->Step();
+}
+
+// L_orig^D; kSpectralNorm adds its weight penalty.
+void TableGan::Trainer::BceCriticStep(const Tensor& fake) {
+  TwoPartNet& d = gan_.discriminator_;
+  adam_d_->ZeroGrad();
+  stats_.d_loss +=
+      nn::SigmoidBceWithLogits(d.ForwardLogits(x_, true), ones_, &seed_);
+  d.Backward(seed_);
+  stats_.d_loss +=
+      nn::SigmoidBceWithLogits(d.ForwardLogits(fake, true), zeros_, &seed_);
+  d.Backward(seed_);
+  if (sn_ != nullptr) stats_.d_loss += sn_->Apply();
+}
+
+// Wasserstein critic with gradient penalty (Gulrajani et al.).
+void TableGan::Trainer::WganCriticStep(const Tensor& fake) {
+  TwoPartNet& d = gan_.discriminator_;
+  const int64_t bsize = bsize_;
+  const float inv_b = 1.0f / static_cast<float>(bsize);
+  // x̂ = a·x + (1-a)·G(z1), per-sample a ~ U[0,1) (Algorithm 1).
+  xhat_.ResizeUninitialized(x_.shape());
+  for (int64_t b = 0; b < bsize; ++b) {
+    const float a = static_cast<float>(gan_.rng_.Uniform(0.0f, 1.0f));
+    const float* xr = x_.data() + b * cells_;
+    const float* fr = fake.data() + b * cells_;
+    float* hr = xhat_.data() + b * cells_;
+    for (int64_t c = 0; c < cells_; ++c) {
+      hr[c] = a * xr[c] + (1.0f - a) * fr[c];
+    }
+  }
+  // Per-sample critic input gradient g_i = ∇_x D(x̂_i): one backward
+  // pass seeded with ones. The pass also pollutes the parameter
+  // gradients; the ZeroGrad below discards that.
+  gp_seed_.ResizeUninitialized({bsize, 1});
+  gp_seed_.Fill(1.0f);
+  (void)d.ForwardLogits(xhat_, true);
+  Tensor gin = d.Backward(gp_seed_);
+  // GP = (1/b) Σ (‖g_i‖-1)².  vhat keeps the unit directions ĝ_i,
+  // gp_coefs the per-sample chain factor (‖g_i‖-1); a zero-grad sample
+  // contributes its penalty value but no HVP direction.
+  vhat_ = gin;
+  gp_coefs_.resize(static_cast<size_t>(bsize));
+  double gp = 0.0;
+  for (int64_t b = 0; b < bsize; ++b) {
+    float* gr = vhat_.data() + b * cells_;
+    double sum = 0.0;
+    for (int64_t c = 0; c < cells_; ++c) {
+      sum += static_cast<double>(gr[c]) * gr[c];
+    }
+    const float norm = static_cast<float>(std::sqrt(sum));
+    gp += static_cast<double>(norm - 1.0f) * (norm - 1.0f);
+    const float inv = norm > 1e-12f ? 1.0f / norm : 0.0f;
+    for (int64_t c = 0; c < cells_; ++c) gr[c] *= inv;
+    gp_coefs_[static_cast<size_t>(b)] = inv > 0.0f ? norm - 1.0f : 0.0f;
+  }
+  gp /= static_cast<double>(bsize);
+  adam_d_->ZeroGrad();
+  // Critic loss mean D(fake) - mean D(real): the backward seeds are
+  // constant ±1/b rows.
+  double mean_real = 0.0, mean_fake = 0.0;
+  {
+    Tensor logits = d.ForwardLogits(x_, true);
+    for (int64_t b = 0; b < bsize; ++b) mean_real += logits[b];
+  }
+  seed_.ResizeUninitialized({bsize, 1});
+  seed_.Fill(-inv_b);
+  d.Backward(seed_);
+  {
+    Tensor logits = d.ForwardLogits(fake, true);
+    for (int64_t b = 0; b < bsize; ++b) mean_fake += logits[b];
+  }
+  seed_.Fill(inv_b);
+  d.Backward(seed_);
+  mean_real *= inv_b;
+  mean_fake *= inv_b;
+  // Parameter gradient of the penalty without double backprop: a
+  // central-difference Hessian-vector product,
+  //   ∇_θ(v̂_iᵀ ∇_x D(x̂_i)) ≈ [∇_θ D(x̂+εv̂) - ∇_θ D(x̂-εv̂)] / 2ε,
+  // one forward/backward per sign with the chain factor λ·(‖g_i‖-1)/(b·ε)
+  // folded into seed row i. Parameter gradients accumulate across
+  // Backward calls (nn::Layer contract), so the two passes add straight
+  // onto the critic gradients above.
+  for (const float sign : {1.0f, -1.0f}) {
+    pert_ = xhat_;
+    ops::AxpyInPlace(vhat_, sign * kGpFdEpsilon, &pert_);
+    (void)d.ForwardLogits(pert_, true);
+    for (int64_t b = 0; b < bsize; ++b) {
+      gp_seed_[b] = sign * o_.gp_weight * gp_coefs_[static_cast<size_t>(b)] *
+                    inv_b / kGpFdEpsilon;
+    }
+    d.Backward(gp_seed_);
+  }
+  stats_.d_loss +=
+      static_cast<float>(mean_fake - mean_real + o_.gp_weight * gp);
+}
+
+// Classifier update with L_class^C (Alg. 2 line 9).
+void TableGan::Trainer::StepC() {
+  TwoPartNet& c = gan_.classifier_;
+  adam_c_->ZeroGrad();
+  cin_ = x_;  // copy-assign reuses the destination's capacity
+  gan_.ZeroLabelCells(&cin_);
+  SigmoidInto(c.ForwardLogits(cin_, true), &pred_);
+  cgrad_.ResizeUninitialized({bsize_, k_});
+  float loss = 0.0f;
+  const float inv_bk = 1.0f / static_cast<float>(bsize_ * k_);
+  for (int64_t i = 0; i < bsize_ * k_; ++i) {
+    const float diff = pred_[i] - labels_[i];
+    loss += std::fabs(diff);
+    const float sign = diff > 0.0f ? 1.0f : (diff < 0.0f ? -1.0f : 0.0f);
+    cgrad_[i] = sign * pred_[i] * (1.0f - pred_[i]) * inv_bk;
+  }
+  stats_.class_loss += loss * inv_bk;
+  c.Backward(cgrad_);
+  adam_c_->Step();
+}
+
+// Generator update with L_orig^G + L_info^G + L_class^G (Alg. 2 lines
+// 10-14).
+void TableGan::Trainer::StepG() {
+  TwoPartNet& d = gan_.discriminator_;
+  adam_g_->ZeroGrad();
+  FillLatent();
+  Tensor fake = gan_.generator_->Forward(z_, /*training=*/true);
+  // Real features for the EWMA statistics. (Forward only; the fake
+  // forward below re-caches the stack for backward.)
+  Tensor feat_real;
+  if (o_.use_info_loss) feat_real = d.features->Forward(x_, true);
+  Tensor feat_fake = d.features->Forward(fake, true);
+  Tensor logits = d.head->Forward(feat_fake, true);
+  switch (o_.loss_mode) {
+    case LossMode::kDcgan:
+    case LossMode::kSpectralNorm:
+      stats_.g_orig_loss += nn::SigmoidBceWithLogits(logits, ones_, &seed_);
+      break;
+    case LossMode::kWganGp: {
+      // L_orig^G = -mean D(G(z)): constant -1/b seed rows.
+      const float inv_b = 1.0f / static_cast<float>(bsize_);
+      double mean_g = 0.0;
+      for (int64_t b = 0; b < bsize_; ++b) mean_g += logits[b];
+      stats_.g_orig_loss += static_cast<float>(-mean_g * inv_b);
+      seed_.ResizeUninitialized({bsize_, 1});
+      seed_.Fill(-inv_b);
+      break;
+    }
+  }
+  Tensor grad_feat = d.head->Backward(seed_);
+  if (o_.use_info_loss) {
+    info_->UpdateStatistics(feat_real, feat_fake);
+    stats_.info_loss += info_->Loss();
+    stats_.l_mean += info_->l_mean();
+    stats_.l_sd += info_->l_sd();
+    Tensor info_grad = info_->GradFakeFeatures();
+    ops::AxpyInPlace(info_grad, o_.info_loss_weight, &grad_feat);
+  }
+  Tensor grad_fake = d.features->Backward(grad_feat);
+  if (o_.use_classifier) AddClassifierGrad(fake, &grad_fake);
+  gan_.generator_->Backward(grad_fake);
+  adam_g_->Step();
+}
+
+// L_class^G: the discrepancy between the synthetic record's own label
+// cells and the classifier's prediction, backpropagated into both.
+void TableGan::Trainer::AddClassifierGrad(const Tensor& fake,
+                                          Tensor* grad_fake) {
+  cin_ = fake;
+  gan_.ZeroLabelCells(&cin_);
+  SigmoidInto(gan_.classifier_.ForwardLogits(cin_, true), &pred_);
+  grad_logit_.ResizeUninitialized({bsize_, k_});
+  float loss = 0.0f;
+  const float inv_bk = 1.0f / static_cast<float>(bsize_ * k_);
+  for (int64_t b = 0; b < bsize_; ++b) {
+    for (int64_t j = 0; j < k_; ++j) {
+      const int64_t col = gan_.label_cell(static_cast<int>(j));
+      const float ell = 0.5f * (fake[b * cells_ + col] + 1.0f);
+      const float p = pred_.at2(b, j);
+      const float diff = ell - p;
+      loss += std::fabs(diff);
+      const float sign = diff > 0.0f ? 1.0f : (diff < 0.0f ? -1.0f : 0.0f);
+      // d|ell - pred| / d logit = -sign * pred * (1 - pred).
+      grad_logit_.at2(b, j) = -sign * p * (1.0f - p) * inv_bk;
+      // d|ell - pred| / d label_cell = sign * 0.5.
+      (*grad_fake)[b * cells_ + col] += 0.5f * sign * inv_bk;
+    }
+  }
+  stats_.class_loss += loss * inv_bk;
+  Tensor grad_cin = gan_.classifier_.Backward(grad_logit_);
+  // remove(.) blocks the gradient of the zeroed label cells.
+  gan_.ZeroLabelCells(&grad_cin);
+  ops::AxpyInPlace(grad_cin, 1.0f, grad_fake);
+}
+
+// End-of-epoch bookkeeping: averages, guardrail, history, telemetry,
+// snapshot and periodic checkpoint.
+Result<int> TableGan::Trainer::EndEpoch(int epoch, const Tally& tally) {
+  EpochStats& stats = stats_;
+  if (tally.batches > 0) {
+    const float inv = 1.0f / static_cast<float>(tally.batches);
+    stats.d_loss *= inv;
+    stats.g_orig_loss *= inv;
+    stats.info_loss *= inv;
+    stats.class_loss *= inv;
+    stats.l_mean *= inv;
+    stats.l_sd *= inv;
+  }
+  if (TABLEGAN_FAILPOINT("train.loss_nan")) {
+    // Deterministic divergence injection for the guardrail tests.
+    stats.d_loss = std::numeric_limits<float>::quiet_NaN();
+  }
+  const std::string anomaly =
+      guard_.Observe({{"d_loss", stats.d_loss},
+                      {"g_loss", stats.g_orig_loss},
+                      {"info_loss", stats.info_loss},
+                      {"class_loss", stats.class_loss}});
+  const bool diverged = guard_active_ && !anomaly.empty();
+  // A poisoned epoch never enters the history: on rollback it is
+  // retried, on halt the model is rewound to the last-good state the
+  // history must keep matching.
+  if (!diverged) gan_.history_.push_back(stats);
+  if (o_.verbose) {
+    TABLEGAN_LOG(Info) << "epoch " << epoch + 1 << "/" << o_.epochs
+                       << " d=" << stats.d_loss << " g=" << stats.g_orig_loss
+                       << " info=" << stats.info_loss
+                       << " class=" << stats.class_loss
+                       << (anomaly.empty() ? "" : " ANOMALY: " + anomaly);
+  }
+  TABLEGAN_RETURN_NOT_OK(ReportMetrics(epoch, tally, anomaly));
+  if (diverged) return Rewind(epoch, anomaly);
+  if (guard_active_) TakeSnapshot(epoch + 1);
+  if (o_.checkpoint_every > 0 &&
+      ((epoch + 1) % o_.checkpoint_every == 0 || epoch + 1 == o_.epochs)) {
+    state_.epochs_completed = epoch + 1;
+    TABLEGAN_RETURN_NOT_OK(gan_.SaveImpl(
+        CheckpointPath(o_.checkpoint_dir, epoch + 1), &state_));
+    // Stable alias for "resume from wherever the run died".
+    TABLEGAN_RETURN_NOT_OK(
+        gan_.SaveImpl(o_.checkpoint_dir + "/latest.tgan", &state_));
+  }
+  return epoch + 1;
+}
+
+Status TableGan::Trainer::ReportMetrics(int epoch, const Tally& tally,
+                                        const std::string& anomaly) {
+  if (o_.metrics_sink == nullptr && !o_.metrics_callback) {
+    return Status::OK();
+  }
+  TrainingMetrics m;
+  m.epoch = epoch + 1;
+  m.total_epochs = o_.epochs;
+  m.d_loss = stats_.d_loss;
+  m.g_loss = stats_.g_orig_loss;
+  m.info_loss = stats_.info_loss;
+  m.class_loss = stats_.class_loss;
+  m.l_mean = stats_.l_mean;
+  m.l_sd = stats_.l_sd;
+  m.d_seconds = tally.d_seconds;
+  m.c_seconds = tally.c_seconds;
+  m.g_seconds = tally.g_seconds;
+  m.epoch_seconds = tally.watch.ElapsedSeconds();
+  m.examples = tally.examples;
+  m.examples_per_sec =
+      m.epoch_seconds > 0.0
+          ? static_cast<double>(m.examples) / m.epoch_seconds
+          : 0.0;
+  if (const Workspace* ws = gan_.ws_.get()) {
+    const uint64_t takes = ws->takes() - tally.ws_takes0;
+    const uint64_t misses = ws->misses() - tally.ws_misses0;
+    m.workspace_allocs = static_cast<int64_t>(misses);
+    m.workspace_reuses = static_cast<int64_t>(takes - misses);
+    m.workspace_bytes = static_cast<int64_t>(ws->allocated_bytes());
+  }
+  m.loss_ewma = guard_.ewma();
+  m.anomaly = anomaly;
+  if (o_.metrics_sink != nullptr) {
+    TABLEGAN_RETURN_NOT_OK(o_.metrics_sink->Record(m));
+  }
+  if (o_.metrics_callback) o_.metrics_callback(m);
+  return Status::OK();
+}
+
+// Divergence: rewind to the last-good snapshot — weights, moments, EWMA
+// statistics, guard, history — but neither the RNG stream (a retry must
+// not replay the draws that just diverged) nor the rollback budget
+// already spent. Then auto-checkpoint, and retry or halt.
+Result<int> TableGan::Trainer::Rewind(int epoch, const std::string& anomaly) {
+  const int64_t rollbacks_used = state_.rollbacks_used;
+  TABLEGAN_RETURN_NOT_OK(gan_.DecodeTrainingState(
+      snapshot_, "last-good snapshot", &state_, /*restore_rng=*/false));
+  state_.rollbacks_used = rollbacks_used;
+  std::string auto_path;
+  if (!o_.checkpoint_dir.empty()) {
+    TABLEGAN_RETURN_NOT_OK(EnsureCheckpointDir());
+    auto_path = o_.checkpoint_dir + "/diverged-last-good.tgan";
+    TABLEGAN_RETURN_NOT_OK(gan_.SaveImpl(auto_path, &state_));
+  }
+  if (o_.metrics_sink != nullptr) {
+    TrainingEvent ev;
+    ev.event = "diverged";
+    ev.epoch = epoch + 1;
+    ev.detail = anomaly;
+    ev.checkpoint_path = auto_path;
+    TABLEGAN_RETURN_NOT_OK(o_.metrics_sink->RecordEvent(ev));
+  }
+  if (o_.divergence_action == DivergenceAction::kRollback &&
+      state_.rollbacks_used < o_.guard_max_rollbacks) {
+    ++state_.rollbacks_used;
+    return state_.epochs_completed;  // retry the snapshot's epoch
+  }
+  // Halt: the restored last-good model is the result, and it samples.
+  gan_.fitted_ = true;
+  return Status::Internal(
+      "training diverged at epoch " + std::to_string(epoch + 1) + ": " +
+      anomaly +
+      (auto_path.empty()
+           ? " (model holds the last-good state)"
+           : "; last-good state checkpointed to " + auto_path));
 }
 
 Status TableGan::Fit(const data::TableView& table, int label_col) {
@@ -88,691 +791,14 @@ Status TableGan::Fit(const data::TableView& table, int label_col) {
 
 Status TableGan::FitMultiLabel(const data::TableView& table,
                                std::vector<int> label_cols) {
-  if (table.num_rows() < 4) {
-    return Status::InvalidArgument("need at least 4 training rows");
-  }
-  if (label_cols.empty()) {
-    return Status::InvalidArgument("at least one label column required");
-  }
-  for (size_t i = 0; i < label_cols.size(); ++i) {
-    const int label_col = label_cols[i];
-    if (label_col < 0 || label_col >= table.num_columns()) {
-      return Status::InvalidArgument(
-          "label column index " + std::to_string(label_col) +
-          " out of range [0, " + std::to_string(table.num_columns()) + ")");
-    }
-    for (size_t j = 0; j < i; ++j) {
-      if (label_cols[j] == label_col) {
-        return Status::InvalidArgument("duplicate label column index " +
-                                       std::to_string(label_col));
-      }
-    }
-  }
-  if (options_.checkpoint_every < 0) {
-    return Status::InvalidArgument("checkpoint_every must be >= 0");
-  }
-  if (options_.checkpoint_every > 0 && options_.checkpoint_dir.empty()) {
-    return Status::InvalidArgument(
-        "checkpoint_every requires a checkpoint_dir");
-  }
+  fitted_ = false;
   // Scoped so a per-model num_threads never leaks into other models or
   // evaluation code sharing the process-wide pool.
   ScopedNumThreads scoped_threads(options_.num_threads);
-  schema_ = table.schema();
-  label_cols_ = std::move(label_cols);
-  const auto k = static_cast<int64_t>(label_cols_.size());
-
-  // Per-column normalizer selection (DESIGN.md §16): min-max everywhere
-  // unless a column opted into the GMM encoding. Label columns stay
-  // min-max so their encoded cell is the single scalar the classifier
-  // and the conditioning vector read.
-  if (options_.gmm_components < 1 || options_.gmm_components > 64) {
-    return Status::InvalidArgument("gmm_components must be in [1, 64], got " +
-                                   std::to_string(options_.gmm_components));
-  }
-  std::vector<data::ColumnNormalizerSpec> specs;
-  if (!options_.gmm_columns.empty()) {
-    specs.resize(static_cast<size_t>(table.num_columns()));
-    for (int c : options_.gmm_columns) {
-      if (c < 0 || c >= table.num_columns()) {
-        return Status::InvalidArgument(
-            "GMM column index " + std::to_string(c) + " out of range [0, " +
-            std::to_string(table.num_columns()) + ")");
-      }
-      if (std::find(label_cols_.begin(), label_cols_.end(), c) !=
-          label_cols_.end()) {
-        return Status::InvalidArgument(
-            "GMM column index " + std::to_string(c) + " is a label column");
-      }
-      specs[static_cast<size_t>(c)].kind = data::NormalizerKind::kGmm;
-      specs[static_cast<size_t>(c)].components = options_.gmm_components;
-    }
-  }
-  // One fitting pass over the view; no encoded copy of the table is ever
-  // built. Mini-batches below are encoded on the fly straight from the
-  // view's column pointers, so training an mmap'd columnar file touches
-  // each page as its rows come up in the shuffle and peak memory is
-  // O(batch), not O(table).
-  TABLEGAN_RETURN_NOT_OK(normalizer_.Fit(table, specs));
-
-  // The record matrix holds the encoded row, which GMM columns widen
-  // beyond the attribute count (1 + modes cells each).
-  const int width = normalizer_.encoded_width();
-  side_ = options_.side > 0 ? options_.side
-                            : data::RecordMatrixCodec::ChooseSide(width);
-  if (side_ * side_ < width) {
-    return Status::InvalidArgument("side too small for encoded record width");
-  }
-  codec_ = std::make_unique<data::RecordMatrixCodec>(width, side_);
-
-  // Conditional models need the label vocabulary: SampleConditional
-  // validates requested levels against it, and unpinned label columns
-  // draw from the empirical frequencies at synthesis time.
-  label_levels_.clear();
-  label_level_freqs_.clear();
-  if (options_.conditional) {
-    for (int col : label_cols_) {
-      const double* colp = table.column_data(col);
-      std::vector<double> vals(colp, colp + table.num_rows());
-      std::sort(vals.begin(), vals.end());
-      std::vector<double> levels;
-      std::vector<double> freqs;
-      for (size_t i = 0; i < vals.size(); ++i) {
-        if (levels.empty() || vals[i] != levels.back()) {
-          levels.push_back(vals[i]);
-          freqs.push_back(0.0);
-        }
-        freqs.back() += 1.0;
-      }
-      if (levels.size() > 64) {
-        return Status::InvalidArgument(
-            "conditional training supports at most 64 distinct label "
-            "values, but column " +
-            std::to_string(col) + " has " + std::to_string(levels.size()));
-      }
-      for (double& f : freqs) f /= static_cast<double>(table.num_rows());
-      label_levels_.push_back(std::move(levels));
-      label_level_freqs_.push_back(std::move(freqs));
-    }
-  }
-
-  generator_ = BuildGenerator(side_, options_.latent_dim + cond_dim(),
-                              options_.base_channels, &rng_);
-  discriminator_ = BuildDiscriminator(side_, options_.base_channels, &rng_);
-  classifier_ = BuildDiscriminator(side_, options_.base_channels, &rng_,
-                                   static_cast<int>(k));
-
-  nn::Adam adam_g(generator_->Parameters(), generator_->Gradients(),
-                  options_.learning_rate, options_.adam_beta1,
-                  options_.adam_beta2);
-  nn::Adam adam_d(discriminator_.Parameters(), discriminator_.Gradients(),
-                  options_.learning_rate, options_.adam_beta1,
-                  options_.adam_beta2);
-  nn::Adam adam_c(classifier_.Parameters(), classifier_.Gradients(),
-                  options_.learning_rate, options_.adam_beta1,
-                  options_.adam_beta2);
-
-  InfoLossState info(discriminator_.feature_dim, options_.ewma_weight,
-                     options_.delta_mean, options_.delta_sd);
-
-  // Bind the shared buffer pool to every network and the info-loss state
-  // so each training-step tensor is recycled instead of reallocated. The
-  // pool changes where buffers live, never their contents (DESIGN.md
-  // memory model), so training is bitwise identical with the flag off.
-  // The old pool (if any) is replaced only after the networks holding
-  // tensors from it have been rebuilt above.
-  if (options_.reuse_workspace) {
-    ws_ = std::make_unique<Workspace>();
-    generator_->SetWorkspace(ws_.get());
-    discriminator_.features->SetWorkspace(ws_.get());
-    discriminator_.head->SetWorkspace(ws_.get());
-    classifier_.features->SetWorkspace(ws_.get());
-    classifier_.head->SetWorkspace(ws_.get());
-    info.BindWorkspace(ws_.get());
-  } else {
-    ws_.reset();
-  }
-
-  // --- Training-stability machinery (DESIGN.md §15) ------------------
-  if (options_.sn_power_iters < 1) {
-    return Status::InvalidArgument("sn_power_iters must be >= 1");
-  }
-  if (options_.guard_warmup_epochs < 0 || options_.guard_max_rollbacks < 0) {
-    return Status::InvalidArgument(
-        "guard_warmup_epochs and guard_max_rollbacks must be >= 0");
-  }
-  const bool wgan = options_.loss_mode == LossMode::kWganGp;
-  std::unique_ptr<nn::SpectralNormRegularizer> sn;
-  if (options_.loss_mode == LossMode::kSpectralNorm) {
-    sn = std::make_unique<nn::SpectralNormRegularizer>(
-        discriminator_.Parameters(), discriminator_.Gradients(),
-        options_.sn_weight, options_.sn_power_iters,
-        MixSeeds(static_cast<uint64_t>(options_.seed), kSpectralStreamTag));
-    if (ws_ != nullptr) sn->BindWorkspace(ws_.get());
-  }
-  DivergenceGuard guard(options_.guard_ewma_weight, options_.guard_factor,
-                        options_.guard_warmup_epochs);
-  int64_t rollbacks_used = 0;
-
-  const int64_t n = table.num_rows();
-  const int64_t batch =
-      std::max<int64_t>(2, std::min<int64_t>(options_.batch_size, n));
-  const int64_t cells = static_cast<int64_t>(side_) * side_;
-  std::vector<int64_t> order(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
-
-  history_.clear();
-  int start_epoch = 0;
-  if (!options_.resume_from.empty()) {
-    // Continue a checkpointed run: restores weights, optimizer moments,
-    // the RNG stream, EWMA statistics and history, so the remaining
-    // epochs replay exactly what an uninterrupted run would compute.
-    TrainingState state{0,     &adam_g, &adam_d, &adam_c,
-                        &info, &guard,  sn.get()};
-    TABLEGAN_RETURN_NOT_OK(
-        RestoreTrainingState(options_.resume_from, &state));
-    start_epoch = state.epochs_completed;
-    rollbacks_used = state.rollbacks_used;
-    if (options_.verbose) {
-      TABLEGAN_LOG(Info) << "resumed from " << options_.resume_from
-                         << " at epoch " << start_epoch;
-    }
-  }
-  if (options_.checkpoint_every > 0) {
-    std::error_code ec;
-    std::filesystem::create_directories(options_.checkpoint_dir, ec);
-    if (ec) {
-      return Status::IOError("cannot create checkpoint_dir " +
-                             options_.checkpoint_dir + ": " + ec.message());
-    }
-  }
-
-  // Last-good snapshot for the divergence guardrail: copies of every
-  // mutable training tensor (network weights and BatchNorm running
-  // statistics, Adam moments, info-loss EWMAs, spectral-norm vectors)
-  // plus the scalar optimizer/guard state, refreshed after each healthy
-  // epoch. Restoring it rewinds training — except the RNG stream, which
-  // deliberately keeps advancing: replaying the identical draws would
-  // diverge identically.
-  const bool guard_active =
-      options_.divergence_action != DivergenceAction::kOff;
-  std::vector<Tensor*> live;
-  std::vector<Tensor> snap;
-  int snap_epoch = start_epoch;
-  size_t snap_history = history_.size();
-  int64_t snap_steps[3] = {0, 0, 0};
-  double snap_pows[6] = {0, 0, 0, 0, 0, 0};
-  bool snap_info_init = false;
-  double snap_guard_ewma = 0.0, snap_guard_base = 0.0;
-  int64_t snap_guard_obs = 0;
-  nn::Adam* adams[3] = {&adam_g, &adam_d, &adam_c};
-  if (guard_active) {
-    auto add_net = [&live](nn::Sequential* net) {
-      for (Tensor* t : net->Parameters()) live.push_back(t);
-      for (Tensor* t : net->Buffers()) live.push_back(t);
-    };
-    add_net(generator_.get());
-    add_net(discriminator_.features.get());
-    add_net(discriminator_.head.get());
-    add_net(classifier_.features.get());
-    add_net(classifier_.head.get());
-    for (nn::Adam* a : adams) {
-      for (Tensor* t : a->MomentTensors()) live.push_back(t);
-    }
-    for (Tensor* t : info.EwmaTensors()) live.push_back(t);
-    if (sn != nullptr) {
-      for (Tensor* t : sn->StateTensors()) live.push_back(t);
-    }
-    snap.resize(live.size());
-  }
-  auto take_snapshot = [&](int epochs_done) {
-    for (size_t i = 0; i < live.size(); ++i) snap[i] = *live[i];
-    snap_epoch = epochs_done;
-    snap_history = history_.size();
-    for (int i = 0; i < 3; ++i) {
-      snap_steps[i] = adams[i]->step_count();
-      snap_pows[2 * i] = adams[i]->beta1_power();
-      snap_pows[2 * i + 1] = adams[i]->beta2_power();
-    }
-    snap_info_init = info.initialized();
-    snap_guard_ewma = guard.ewma();
-    snap_guard_base = guard.baseline();
-    snap_guard_obs = guard.observed_epochs();
-  };
-  auto restore_snapshot = [&]() {
-    for (size_t i = 0; i < live.size(); ++i) *live[i] = snap[i];
-    for (int i = 0; i < 3; ++i) {
-      adams[i]->set_step_count(snap_steps[i]);
-      adams[i]->set_bias_correction_powers(snap_pows[2 * i],
-                                           snap_pows[2 * i + 1]);
-    }
-    info.set_initialized(snap_info_init);
-    guard.Restore(snap_guard_ewma, snap_guard_base, snap_guard_obs);
-    history_.resize(snap_history);
-  };
-  if (guard_active) take_snapshot(start_epoch);
-
-  // Batch-assembly and loss-gradient buffers, hoisted out of the loops
-  // so the steady-state step allocates nothing: ResizeUninitialized
-  // reuses each tensor's capacity once the first (largest) batch has
-  // sized it. The tail batch is smaller than `batch`, so its resize
-  // never grows the buffers.
-  Tensor x, labels, ones, zeros, z1, z2;
-  Tensor bce_grad, cgrad, cin, pred, grad_logit;
-  // WGAN-GP scratch (kWganGp mode only): the interpolated batch, its
-  // per-sample critic input gradients (normalized in place), the
-  // perturbed batch of the finite-difference passes and the per-sample
-  // output seeds.
-  Tensor xhat, vhat, pert, gp_seed;
-  std::vector<float> gp_coefs;
-
-  for (int epoch = start_epoch; epoch < options_.epochs; ++epoch) {
-    // Re-derive the permutation from identity each epoch: an in-place
-    // shuffle of the previous epoch's order would make the batch
-    // sequence depend on history a checkpoint does not carry, breaking
-    // bitwise resume.
-    for (int64_t i = 0; i < n; ++i) order[static_cast<size_t>(i)] = i;
-    rng_.Shuffle(&order);
-    EpochStats stats;
-    int num_batches = 0;
-    int64_t epoch_examples = 0;
-    const uint64_t ws_takes0 = ws_ != nullptr ? ws_->takes() : 0;
-    const uint64_t ws_misses0 = ws_ != nullptr ? ws_->misses() : 0;
-    Stopwatch epoch_watch;
-    Stopwatch phase_watch;
-    double d_seconds = 0.0, c_seconds = 0.0, g_seconds = 0.0;
-    // Every row is visited: the final short batch of `n mod batch` rows
-    // trains too (the old loop condition silently dropped it). The one
-    // exception is a 1-row tail, which is skipped because BatchNorm's
-    // batch variance is identically zero on a single sample.
-    for (int64_t start = 0; start < n; start += batch) {
-      const int64_t bsize = std::min<int64_t>(batch, n - start);
-      if (bsize < 2) break;
-      // --- Assemble the real mini-batch (Alg. 2 line 6): zero the pad
-      // cells (exactly what the codec writes there), then encode the
-      // batch's rows directly from the view. Bitwise identical to
-      // gathering rows of the old precomputed Transform+ToMatrices
-      // tensor (see MinMaxNormalizer::EncodeRowsInto).
-      x.ResizeUninitialized({bsize, 1, side_, side_});
-      x.SetZero();
-      normalizer_.EncodeRowsInto(table, order.data() + start, bsize,
-                                 x.data(), cells);
-      // Ground-truth labels l(x) in {0,1}: decode the label cells from
-      // the [-1,1] encoding.
-      labels.ResizeUninitialized({bsize, k});
-      for (int64_t b = 0; b < bsize; ++b) {
-        for (int64_t j = 0; j < k; ++j) {
-          labels.at2(b, j) =
-              0.5f * (x[b * cells + label_cell(static_cast<int>(j))] + 1.0f);
-        }
-      }
-      ones.ResizeUninitialized({bsize, 1});
-      ones.Fill(1.0f);
-      zeros.ResizeUninitialized({bsize, 1});
-      zeros.SetZero();
-
-      // --- Discriminator update (Alg. 2 line 8): L_orig^D for kDcgan
-      // and kSpectralNorm (the latter adds the weight penalty below), a
-      // Wasserstein critic with gradient penalty for kWganGp.
-      phase_watch.Restart();
-      // Conditional models append the real batch's encoded label cells
-      // to the latent input (cGAN-style): the generator learns its
-      // conditioning from pairs whose condition matches a real record.
-      const int64_t zdim = options_.latent_dim + cond_dim();
-      z1.ResizeUninitialized({bsize, zdim});
-      z1.FillUniform(-1.0f, 1.0f, &rng_);
-      for (int64_t j = options_.latent_dim; j < zdim; ++j) {
-        const int64_t cell = label_cell(static_cast<int>(j - options_.latent_dim));
-        for (int64_t b = 0; b < bsize; ++b) {
-          z1.at2(b, j) = x[b * cells + cell];
-        }
-      }
-      Tensor fake_for_d = generator_->Forward(z1, /*training=*/true);
-      if (!wgan) {
-        adam_d.ZeroGrad();
-        {
-          Tensor feat = discriminator_.features->Forward(x, true);
-          Tensor logits = discriminator_.head->Forward(feat, true);
-          stats.d_loss += nn::SigmoidBceWithLogits(logits, ones, &bce_grad);
-          discriminator_.features->Backward(
-              discriminator_.head->Backward(bce_grad));
-        }
-        {
-          Tensor feat = discriminator_.features->Forward(fake_for_d, true);
-          Tensor logits = discriminator_.head->Forward(feat, true);
-          stats.d_loss += nn::SigmoidBceWithLogits(logits, zeros, &bce_grad);
-          discriminator_.features->Backward(
-              discriminator_.head->Backward(bce_grad));
-        }
-        if (sn != nullptr) stats.d_loss += sn->Apply();
-      } else {
-        const float inv_b = 1.0f / static_cast<float>(bsize);
-        // x̂ = a·x + (1-a)·G(z1), per-sample a ~ U[0,1) (Gulrajani et
-        // al., Algorithm 1).
-        xhat.ResizeUninitialized(x.shape());
-        for (int64_t b = 0; b < bsize; ++b) {
-          const float a = static_cast<float>(rng_.Uniform(0.0f, 1.0f));
-          const float* xr = x.data() + b * cells;
-          const float* fr = fake_for_d.data() + b * cells;
-          float* hr = xhat.data() + b * cells;
-          for (int64_t c = 0; c < cells; ++c) {
-            hr[c] = a * xr[c] + (1.0f - a) * fr[c];
-          }
-        }
-        // Per-sample critic input gradient g_i = ∇_x D(x̂_i): one
-        // backward pass seeded with ones. The pass also pollutes the
-        // parameter gradients; the ZeroGrad below discards that.
-        gp_seed.ResizeUninitialized({bsize, 1});
-        gp_seed.Fill(1.0f);
-        {
-          Tensor feat = discriminator_.features->Forward(xhat, true);
-          (void)discriminator_.head->Forward(feat, true);
-        }
-        Tensor gin = discriminator_.features->Backward(
-            discriminator_.head->Backward(gp_seed));
-        // GP = (1/b) Σ (‖g_i‖-1)².  vhat keeps the unit directions ĝ_i,
-        // gp_coefs the per-sample chain factor (‖g_i‖-1); a zero-grad
-        // sample contributes its penalty value but no HVP direction.
-        vhat = gin;
-        gp_coefs.resize(static_cast<size_t>(bsize));
-        double gp = 0.0;
-        for (int64_t b = 0; b < bsize; ++b) {
-          float* gr = vhat.data() + b * cells;
-          double sum = 0.0;
-          for (int64_t c = 0; c < cells; ++c) {
-            sum += static_cast<double>(gr[c]) * gr[c];
-          }
-          const float norm = static_cast<float>(std::sqrt(sum));
-          gp += static_cast<double>(norm - 1.0f) * (norm - 1.0f);
-          const float inv = norm > 1e-12f ? 1.0f / norm : 0.0f;
-          for (int64_t c = 0; c < cells; ++c) gr[c] *= inv;
-          gp_coefs[static_cast<size_t>(b)] = inv > 0.0f ? norm - 1.0f : 0.0f;
-        }
-        gp /= static_cast<double>(bsize);
-        adam_d.ZeroGrad();
-        // Critic loss mean D(fake) - mean D(real): the backward seeds
-        // are constant ±1/b rows.
-        double mean_real = 0.0, mean_fake = 0.0;
-        {
-          Tensor feat = discriminator_.features->Forward(x, true);
-          Tensor logits = discriminator_.head->Forward(feat, true);
-          for (int64_t b = 0; b < bsize; ++b) mean_real += logits[b];
-          bce_grad.ResizeUninitialized({bsize, 1});
-          bce_grad.Fill(-inv_b);
-          discriminator_.features->Backward(
-              discriminator_.head->Backward(bce_grad));
-        }
-        {
-          Tensor feat = discriminator_.features->Forward(fake_for_d, true);
-          Tensor logits = discriminator_.head->Forward(feat, true);
-          for (int64_t b = 0; b < bsize; ++b) mean_fake += logits[b];
-          bce_grad.Fill(inv_b);
-          discriminator_.features->Backward(
-              discriminator_.head->Backward(bce_grad));
-        }
-        mean_real *= inv_b;
-        mean_fake *= inv_b;
-        // Parameter gradient of the penalty without double backprop: a
-        // central-difference Hessian-vector product,
-        //   ∇_θ(v̂_iᵀ ∇_x D(x̂_i)) ≈ [∇_θ D(x̂+εv̂) - ∇_θ D(x̂-εv̂)] / 2ε,
-        // one forward/backward per sign with the chain factor
-        // λ·(‖g_i‖-1)/(b·ε) folded into seed row i. Parameter gradients
-        // accumulate across Backward calls (nn::Layer contract), so the
-        // two passes add straight onto the critic gradients above.
-        for (const float sign : {1.0f, -1.0f}) {
-          pert = xhat;
-          ops::AxpyInPlace(vhat, sign * kGpFdEpsilon, &pert);
-          Tensor feat = discriminator_.features->Forward(pert, true);
-          (void)discriminator_.head->Forward(feat, true);
-          for (int64_t b = 0; b < bsize; ++b) {
-            gp_seed[b] = sign * options_.gp_weight *
-                         gp_coefs[static_cast<size_t>(b)] * inv_b /
-                         kGpFdEpsilon;
-          }
-          discriminator_.features->Backward(
-              discriminator_.head->Backward(gp_seed));
-        }
-        stats.d_loss += static_cast<float>(
-            mean_fake - mean_real + options_.gp_weight * gp);
-      }
-      adam_d.Step();
-      d_seconds += phase_watch.ElapsedSeconds();
-
-      // --- Classifier update with L_class^C (Alg. 2 line 9).
-      phase_watch.Restart();
-      if (options_.use_classifier) {
-        adam_c.ZeroGrad();
-        RemoveLabelInto(x, &cin);
-        Tensor feat = classifier_.features->Forward(cin, true);
-        Tensor logits = classifier_.head->Forward(feat, true);
-        SigmoidInto(logits, &pred);
-        cgrad.ResizeUninitialized({bsize, k});
-        float loss = 0.0f;
-        const float inv_bk = 1.0f / static_cast<float>(bsize * k);
-        for (int64_t i = 0; i < bsize * k; ++i) {
-          const float diff = pred[i] - labels[i];
-          loss += std::fabs(diff);
-          const float sign = diff > 0.0f ? 1.0f : (diff < 0.0f ? -1.0f : 0.0f);
-          cgrad[i] = sign * pred[i] * (1.0f - pred[i]) * inv_bk;
-        }
-        stats.class_loss += loss * inv_bk;
-        classifier_.features->Backward(classifier_.head->Backward(cgrad));
-        adam_c.Step();
-      }
-      c_seconds += phase_watch.ElapsedSeconds();
-
-      // --- Generator update with L_orig^G + L_info^G + L_class^G
-      //     (Alg. 2 lines 10-14).
-      phase_watch.Restart();
-      adam_g.ZeroGrad();
-      z2.ResizeUninitialized({bsize, zdim});
-      z2.FillUniform(-1.0f, 1.0f, &rng_);
-      for (int64_t j = options_.latent_dim; j < zdim; ++j) {
-        const int64_t cell = label_cell(static_cast<int>(j - options_.latent_dim));
-        for (int64_t b = 0; b < bsize; ++b) {
-          z2.at2(b, j) = x[b * cells + cell];
-        }
-      }
-      Tensor fake = generator_->Forward(z2, /*training=*/true);
-
-      // Real features for the EWMA statistics. (Forward only; the
-      // subsequent fake forward re-caches the stack for backward.)
-      Tensor feat_real;
-      if (options_.use_info_loss) {
-        feat_real = discriminator_.features->Forward(x, true);
-      }
-      Tensor feat_fake = discriminator_.features->Forward(fake, true);
-      Tensor logits_g = discriminator_.head->Forward(feat_fake, true);
-      Tensor grad_feat;
-      if (!wgan) {
-        stats.g_orig_loss +=
-            nn::SigmoidBceWithLogits(logits_g, ones, &bce_grad);
-        grad_feat = discriminator_.head->Backward(bce_grad);
-      } else {
-        // L_orig^G = -mean D(G(z)): constant -1/b seed rows.
-        const float inv_b = 1.0f / static_cast<float>(bsize);
-        double mean_g = 0.0;
-        for (int64_t b = 0; b < bsize; ++b) mean_g += logits_g[b];
-        stats.g_orig_loss += static_cast<float>(-mean_g * inv_b);
-        bce_grad.ResizeUninitialized({bsize, 1});
-        bce_grad.Fill(-inv_b);
-        grad_feat = discriminator_.head->Backward(bce_grad);
-      }
-      if (options_.use_info_loss) {
-        info.UpdateStatistics(feat_real, feat_fake);
-        stats.info_loss += info.Loss();
-        stats.l_mean += info.l_mean();
-        stats.l_sd += info.l_sd();
-        Tensor info_grad = info.GradFakeFeatures();
-        ops::AxpyInPlace(info_grad, options_.info_loss_weight, &grad_feat);
-      }
-      Tensor grad_fake = discriminator_.features->Backward(grad_feat);
-
-      if (options_.use_classifier) {
-        RemoveLabelInto(fake, &cin);
-        Tensor feat = classifier_.features->Forward(cin, true);
-        Tensor logits = classifier_.head->Forward(feat, true);
-        SigmoidInto(logits, &pred);
-        grad_logit.ResizeUninitialized({bsize, k});
-        float loss = 0.0f;
-        const float inv_bk = 1.0f / static_cast<float>(bsize * k);
-        for (int64_t b = 0; b < bsize; ++b) {
-          for (int64_t j = 0; j < k; ++j) {
-            const int64_t col = label_cell(static_cast<int>(j));
-            const float ell = 0.5f * (fake[b * cells + col] + 1.0f);
-            const float p = pred.at2(b, j);
-            const float diff = ell - p;
-            loss += std::fabs(diff);
-            const float sign =
-                diff > 0.0f ? 1.0f : (diff < 0.0f ? -1.0f : 0.0f);
-            // d|ell - pred| / d logit = -sign * pred * (1 - pred).
-            grad_logit.at2(b, j) = -sign * p * (1.0f - p) * inv_bk;
-            // d|ell - pred| / d label_cell = sign * 0.5.
-            grad_fake[b * cells + col] += 0.5f * sign * inv_bk;
-          }
-        }
-        stats.class_loss += loss * inv_bk;
-        Tensor grad_cin = classifier_.features->Backward(
-            classifier_.head->Backward(grad_logit));
-        // remove(.) blocks the gradient of the zeroed label cells.
-        for (int64_t b = 0; b < bsize; ++b) {
-          for (size_t j = 0; j < label_cols_.size(); ++j) {
-            grad_cin[b * cells + label_cell(static_cast<int>(j))] = 0.0f;
-          }
-        }
-        ops::AxpyInPlace(grad_cin, 1.0f, &grad_fake);
-      }
-      generator_->Backward(grad_fake);
-      adam_g.Step();
-      g_seconds += phase_watch.ElapsedSeconds();
-      ++num_batches;
-      epoch_examples += bsize;
-    }
-    if (num_batches > 0) {
-      const float inv = 1.0f / static_cast<float>(num_batches);
-      stats.d_loss *= inv;
-      stats.g_orig_loss *= inv;
-      stats.info_loss *= inv;
-      stats.class_loss *= inv;
-      stats.l_mean *= inv;
-      stats.l_sd *= inv;
-    }
-    if (TABLEGAN_FAILPOINT("train.loss_nan")) {
-      // Deterministic divergence injection for the guardrail tests.
-      stats.d_loss = std::numeric_limits<float>::quiet_NaN();
-    }
-    const std::string anomaly =
-        guard.Observe({{"d_loss", stats.d_loss},
-                       {"g_loss", stats.g_orig_loss},
-                       {"info_loss", stats.info_loss},
-                       {"class_loss", stats.class_loss}});
-    const bool diverged = guard_active && !anomaly.empty();
-    // A poisoned epoch never enters the history: on rollback it is
-    // retried, on halt the model is rewound to the last-good state the
-    // history must keep matching.
-    if (!diverged) history_.push_back(stats);
-    if (options_.verbose) {
-      TABLEGAN_LOG(Info) << "epoch " << epoch + 1 << "/" << options_.epochs
-                         << " d=" << stats.d_loss
-                         << " g=" << stats.g_orig_loss
-                         << " info=" << stats.info_loss
-                         << " class=" << stats.class_loss
-                         << (anomaly.empty() ? "" : " ANOMALY: " + anomaly);
-    }
-
-    if (options_.metrics_sink != nullptr || options_.metrics_callback) {
-      TrainingMetrics m;
-      m.epoch = epoch + 1;
-      m.total_epochs = options_.epochs;
-      m.d_loss = stats.d_loss;
-      m.g_loss = stats.g_orig_loss;
-      m.info_loss = stats.info_loss;
-      m.class_loss = stats.class_loss;
-      m.l_mean = stats.l_mean;
-      m.l_sd = stats.l_sd;
-      m.d_seconds = d_seconds;
-      m.c_seconds = c_seconds;
-      m.g_seconds = g_seconds;
-      m.epoch_seconds = epoch_watch.ElapsedSeconds();
-      // True rows consumed (the old num_batches * batch both overcounted
-      // the tail and undercounted the dropped rows).
-      m.examples = epoch_examples;
-      m.examples_per_sec =
-          m.epoch_seconds > 0.0
-              ? static_cast<double>(m.examples) / m.epoch_seconds
-              : 0.0;
-      if (ws_ != nullptr) {
-        const uint64_t takes = ws_->takes() - ws_takes0;
-        const uint64_t misses = ws_->misses() - ws_misses0;
-        m.workspace_allocs = static_cast<int64_t>(misses);
-        m.workspace_reuses = static_cast<int64_t>(takes - misses);
-        m.workspace_bytes = static_cast<int64_t>(ws_->allocated_bytes());
-      }
-      m.loss_ewma = guard.ewma();
-      m.anomaly = anomaly;
-      if (options_.metrics_sink != nullptr) {
-        TABLEGAN_RETURN_NOT_OK(options_.metrics_sink->Record(m));
-      }
-      if (options_.metrics_callback) options_.metrics_callback(m);
-    }
-
-    if (diverged) {
-      // Rewind to the last-good snapshot — weights, moments, EWMA
-      // statistics, guard — but NOT the RNG stream: a rollback retries
-      // the epoch with fresh randomness instead of replaying the exact
-      // draws that just diverged.
-      restore_snapshot();
-      std::string auto_path;
-      if (!options_.checkpoint_dir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(options_.checkpoint_dir, ec);
-        if (ec) {
-          return Status::IOError("cannot create checkpoint_dir " +
-                                 options_.checkpoint_dir + ": " +
-                                 ec.message());
-        }
-        auto_path = options_.checkpoint_dir + "/diverged-last-good.tgan";
-        TrainingState state{snap_epoch,  &adam_g, &adam_d,
-                            &adam_c,     &info,   &guard,
-                            sn.get(),    rollbacks_used};
-        TABLEGAN_RETURN_NOT_OK(SaveImpl(auto_path, &state, /*version=*/6));
-      }
-      if (options_.metrics_sink != nullptr) {
-        TrainingEvent ev;
-        ev.event = "diverged";
-        ev.epoch = epoch + 1;
-        ev.detail = anomaly;
-        ev.checkpoint_path = auto_path;
-        TABLEGAN_RETURN_NOT_OK(options_.metrics_sink->RecordEvent(ev));
-      }
-      if (options_.divergence_action == DivergenceAction::kRollback &&
-          rollbacks_used < options_.guard_max_rollbacks) {
-        ++rollbacks_used;
-        epoch = snap_epoch - 1;  // the loop increment retries snap_epoch
-        continue;
-      }
-      return Status::Internal(
-          "training diverged at epoch " + std::to_string(epoch + 1) + ": " +
-          anomaly +
-          (auto_path.empty()
-               ? " (model holds the last-good state)"
-               : "; last-good state checkpointed to " + auto_path));
-    }
-    if (guard_active) take_snapshot(epoch + 1);
-
-    if (options_.checkpoint_every > 0 &&
-        ((epoch + 1) % options_.checkpoint_every == 0 ||
-         epoch + 1 == options_.epochs)) {
-      TrainingState state{epoch + 1, &adam_g, &adam_d,
-                          &adam_c,   &info,   &guard,
-                          sn.get(),  rollbacks_used};
-      TABLEGAN_RETURN_NOT_OK(
-          SaveImpl(CheckpointPath(options_.checkpoint_dir, epoch + 1),
-                   &state, /*version=*/6));
-      // Stable alias for "resume from wherever the run died".
-      TABLEGAN_RETURN_NOT_OK(SaveImpl(
-          options_.checkpoint_dir + "/latest.tgan", &state, /*version=*/6));
-    }
+  Trainer trainer(this, table);
+  TABLEGAN_RETURN_NOT_OK(trainer.Setup(std::move(label_cols)));
+  for (int epoch = trainer.start_epoch(); epoch < options_.epochs;) {
+    TABLEGAN_ASSIGN_OR_RETURN(epoch, trainer.RunEpoch(epoch));
   }
   fitted_ = true;
   return Status::OK();

@@ -2,6 +2,7 @@
 #define TABLEGAN_CORE_TABLE_GAN_H_
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -73,6 +74,9 @@ class TableGan {
   Status FitMultiLabel(const data::TableView& table,
                        std::vector<int> label_cols);
 
+  /// True after a successful Fit or Load. A failed Fit leaves it false —
+  /// except a divergence halt (DivergenceAction::kHalt), whose model
+  /// holds the restored last-good state and stays usable.
   bool fitted() const { return fitted_; }
 
   /// Generates `n` synthetic records and decodes them to a table with
@@ -135,16 +139,6 @@ class TableGan {
   /// atomic (temp file + rename) and the file carries a CRC-32 footer.
   Status Save(const std::string& path) const;
 
-  /// Save() with an explicit on-disk format version. Supported versions:
-  /// 6 (current; equivalent to Save), 5 (omits the conditional /
-  /// GMM-normalizer section), 4 (additionally omits the loss-mode and
-  /// guardrail fields) and 3 (legacy: additionally omits the sampling
-  /// stream counters and Adam bias-correction powers). A conditional or
-  /// GMM-normalized model cannot be expressed below version 6 and is
-  /// rejected with InvalidArgument. Used by tests to exercise the older
-  /// compatibility paths of Load.
-  Status SaveCompat(const std::string& path, int version) const;
-
   /// Restores a model saved by Save() or a mid-training checkpoint.
   /// Truncated, bit-flipped or wrong-version files are rejected with a
   /// non-OK Status (the CRC footer is verified before any field is
@@ -159,6 +153,8 @@ class TableGan {
   const std::vector<int>& label_cols() const { return label_cols_; }
 
  private:
+  class Trainer;
+
   /// Borrowed views of the mutable mid-training state a checkpoint must
   /// capture beyond the model itself (see DESIGN.md §9 for the format).
   struct TrainingState {
@@ -167,29 +163,42 @@ class TableGan {
     nn::Adam* adam_d = nullptr;
     nn::Adam* adam_c = nullptr;
     InfoLossState* info = nullptr;
-    /// v5 additions; null / zero with pre-v5 files or when the feature
-    /// is off (guard always exists during Fit, sn only in kSpectralNorm
-    /// mode).
     DivergenceGuard* guard = nullptr;
+    /// Null unless options.loss_mode is kSpectralNorm.
     nn::SpectralNormRegularizer* sn = nullptr;
     int64_t rollbacks_used = 0;
   };
 
-  /// Serializes the model — plus the training section when `train` is
-  /// non-null — to `path` atomically with a CRC-32 footer, in the given
-  /// on-disk format version (3, 4 or 5; see SaveCompat).
-  Status SaveImpl(const std::string& path, const TrainingState* train,
-                  int version) const;
+  /// Encodes the model — plus the training section when `train` is
+  /// non-null — as a complete current-format file image, CRC-32 footer
+  /// included, into `*image` (cleared first; its capacity is reused).
+  void EncodeCheckpoint(const TrainingState* train, std::string* image) const;
 
-  /// Restores the training section of a checkpoint into this partially
-  /// initialized model (networks and optimizers already built by Fit).
-  /// Rejects checkpoints whose options, schema or normalizer bounds do
-  /// not match the current run.
+  /// EncodeCheckpoint, written to `path` atomically.
+  Status SaveImpl(const std::string& path, const TrainingState* train) const;
+
+  /// Decodes a checkpoint image (`source` names it in errors) into this
+  /// partially initialized model (networks and optimizers already built
+  /// by Fit): weights, optimizer moments, EWMA and guard statistics,
+  /// history, and the RNG stream when `restore_rng`. Rejects images whose
+  /// options, schema or normalizer do not match the current run.
+  Status DecodeTrainingState(const std::string& image,
+                             const std::string& source, TrainingState* train,
+                             bool restore_rng);
+
+  /// Reads a checkpoint file and decodes it, RNG stream included.
   Status RestoreTrainingState(const std::string& path, TrainingState* train);
 
+  /// The five networks in serialization order: generator, then the
+  /// discriminator's and the classifier's features and head.
+  std::vector<nn::Sequential*> Networks() const {
+    return {generator_.get(), discriminator_.features.get(),
+            discriminator_.head.get(), classifier_.features.get(),
+            classifier_.head.get()};
+  }
+
   /// Zeroes every label cell of every record matrix — remove(.) in Eq. 5.
-  /// Writes the masked copy into `*out` (resized as needed).
-  void RemoveLabelInto(const Tensor& matrices, Tensor* out) const;
+  void ZeroLabelCells(Tensor* matrices) const;
 
   /// Shared core of Sample, SampleRange and SampleConditional: decodes
   /// rows [first, first + n) of the latent stream keyed by `stream_seed`

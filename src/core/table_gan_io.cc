@@ -1,34 +1,30 @@
 // Binary persistence for trained table-GAN models (TableGan::Save /
 // TableGan::Load) and mid-training checkpoints (see DESIGN.md §9).
 //
-// Format v5: magic "TGAN0005", then the model section (options — since
-// v5 including the loss mode, penalty weights and guardrail settings —
-// schema, normalizer bounds, the sampling-stream counters, the
-// parameter and buffer tensors of the generator, discriminator and
-// classifier in construction order), then an optional training section
-// (epoch counter, RNG stream, Adam moments + bias-correction powers,
-// info-loss EWMA statistics, since v5 the divergence-guard EWMA state,
-// rollback counter and spectral-norm power-iteration vectors, loss
-// history), then a CRC-32 footer over everything before it. Files are
-// written to a temp name and renamed into place so a crash mid-write
-// never leaves a half-written file at the target path, and Load
-// verifies the CRC before parsing a single field.
+// One writer, format v6: magic "TGAN0006", then the model section
+// (options including the loss mode, penalty weights and guardrail
+// settings; schema; normalizer bounds; the sampling-stream counters; the
+// record-encoding and conditioning section — conditional flag, GMM
+// column selection with every fitted mixture, per-label level
+// vocabulary; the parameter and buffer tensors of the generator,
+// discriminator and classifier in construction order), then an optional
+// training section (epoch counter, RNG stream, Adam moments +
+// bias-correction powers, info-loss EWMA statistics, divergence-guard
+// EWMA state, rollback counter, spectral-norm power-iteration vectors,
+// loss history), then a CRC-32 footer over everything before it.
 //
-// Format v6 appends the record-encoding and conditioning section to the
-// model header: the conditional flag, the GMM column selection with
-// every fitted mixture's components, and — for conditional models — the
-// per-label-column level vocabulary with empirical frequencies
-// (DESIGN.md §16). Models using only the defaults carry an all-min-max
-// spec table and load bitwise identical to their v5 selves.
+// Encoding and decoding work on in-memory images: Fit's divergence
+// guardrail keeps its last-good snapshot as one such image, and the file
+// paths add only the I/O. Files are written to a temp name and renamed
+// into place so a crash mid-write never leaves a half-written file at
+// the target path, and every image's CRC is verified before a single
+// field is parsed.
 //
-// Version-5 files (no encoding/conditioning section: min-max everywhere,
-// unconditional), version-4 files (additionally no loss-mode/guardrail
-// fields: the loaded model runs the default DCGAN loss with a fresh
-// guard) and version-3 files (additionally no sampling-stream counters
-// and no Adam powers) are still read. SaveCompat(path, 3|4|5) writes the
-// legacy layouts for round-trip tests; a model that actually uses GMM
-// columns or conditioning cannot be downgraded and SaveCompat rejects
-// the attempt.
+// The readers still accept the older layouts: v5 (no
+// encoding/conditioning section: min-max everywhere, unconditional), v4
+// (additionally no loss-mode/guardrail fields: default DCGAN loss, fresh
+// guard) and v3 (additionally no sampling-stream counters and no Adam
+// powers). Re-saving such a model writes v6.
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -36,7 +32,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <sstream>
 
 #include "common/crc32.h"
 #include "common/failpoint.h"
@@ -61,84 +56,87 @@ constexpr size_t kFooterSize = sizeof(uint32_t);
 // --- primitive writers/readers (little-endian host assumed; the format
 // is a cache, not an interchange format).
 
-void WriteI64(std::ostream& out, int64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+void WriteI64(std::string& out, int64_t v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-void WriteU64(std::ostream& out, uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+void WriteU64(std::string& out, uint64_t v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-void WriteF32(std::ostream& out, float v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+void WriteF32(std::string& out, float v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-void WriteF64(std::ostream& out, double v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
+void WriteF64(std::string& out, double v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
 
-void WriteString(std::ostream& out, const std::string& s) {
+void WriteString(std::string& out, const std::string& s) {
   WriteI64(out, static_cast<int64_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
+  out.append(s);
 }
 
-void WriteTensor(std::ostream& out, const Tensor& t) {
+void WriteTensor(std::string& out, const Tensor& t) {
   WriteI64(out, t.rank());
   for (int64_t d : t.shape()) WriteI64(out, d);
-  out.write(reinterpret_cast<const char*>(t.data()),
-            static_cast<std::streamsize>(t.size() * sizeof(float)));
+  out.append(reinterpret_cast<const char*>(t.data()),
+             static_cast<size_t>(t.size()) * sizeof(float));
 }
 
-bool ReadI64(std::istream& in, int64_t* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in);
-}
+// Bounds-checked cursor over a verified image; a read past the end fails
+// and leaves the destination untouched.
+struct ByteReader {
+  const char* pos = nullptr;
+  const char* end = nullptr;
+  bool Read(void* dst, size_t n) {
+    if (static_cast<size_t>(end - pos) < n) return false;
+    std::memcpy(dst, pos, n);
+    pos += n;
+    return true;
+  }
+};
 
-bool ReadU64(std::istream& in, uint64_t* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in);
-}
+bool ReadI64(ByteReader& in, int64_t* v) { return in.Read(v, sizeof(*v)); }
 
-bool ReadF32(std::istream& in, float* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in);
-}
+bool ReadU64(ByteReader& in, uint64_t* v) { return in.Read(v, sizeof(*v)); }
 
-bool ReadF64(std::istream& in, double* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in);
-}
+bool ReadF32(ByteReader& in, float* v) { return in.Read(v, sizeof(*v)); }
 
-bool ReadString(std::istream& in, std::string* s) {
+bool ReadF64(ByteReader& in, double* v) { return in.Read(v, sizeof(*v)); }
+
+bool ReadString(ByteReader& in, std::string* s) {
   int64_t n = 0;
   if (!ReadI64(in, &n) || n < 0 || n > (1 << 20)) return false;
   s->resize(static_cast<size_t>(n));
-  in.read(s->data(), n);
-  return static_cast<bool>(in);
+  return in.Read(s->data(), static_cast<size_t>(n));
 }
 
 // Reads a tensor into `*t`, which must already have the expected shape
 // (the architecture is rebuilt from options before loading weights).
-bool ReadTensorInto(std::istream& in, Tensor* t) {
+bool ReadTensorInto(ByteReader& in, Tensor* t) {
   int64_t rank = 0;
   if (!ReadI64(in, &rank) || rank != t->rank()) return false;
   for (int i = 0; i < t->rank(); ++i) {
     int64_t d = 0;
     if (!ReadI64(in, &d) || d != t->dim(i)) return false;
   }
-  in.read(reinterpret_cast<char*>(t->data()),
-          static_cast<std::streamsize>(t->size() * sizeof(float)));
-  return static_cast<bool>(in);
+  return in.Read(t->data(), static_cast<size_t>(t->size()) * sizeof(float));
 }
 
-std::vector<Tensor*> AllState(nn::Sequential* net) {
-  std::vector<Tensor*> out = net->Parameters();
-  for (Tensor* b : net->Buffers()) out.push_back(b);
+// Every parameter then buffer tensor of every network, in
+// serialization order.
+std::vector<Tensor*> NetworkState(const std::vector<nn::Sequential*>& nets) {
+  std::vector<Tensor*> out;
+  for (nn::Sequential* net : nets) {
+    for (Tensor* p : net->Parameters()) out.push_back(p);
+    for (Tensor* b : net->Buffers()) out.push_back(b);
+  }
   return out;
 }
 
-bool ReadNet(std::istream& in, nn::Sequential* net) {
-  for (Tensor* t : AllState(net)) {
+bool ReadNetworks(ByteReader& in, const std::vector<nn::Sequential*>& nets) {
+  for (Tensor* t : NetworkState(nets)) {
     if (!ReadTensorInto(in, t)) return false;
   }
   return true;
@@ -185,51 +183,52 @@ Status AtomicWriteFile(const std::string& path, std::string payload) {
   return Status::OK();
 }
 
-// Reads the whole file, checks magic, version and the CRC-32 footer.
-// On success `*contents` holds the full file, `*version` the on-disk
-// format version (3, 4 or 5), and `*in` is positioned just past the
-// magic.
-Status ReadVerifiedFile(const std::string& path, std::string* contents,
-                        std::istringstream* in, int* version) {
+// Reads a whole model or checkpoint file.
+Result<std::string> ReadModelFile(const std::string& path) {
   if (TABLEGAN_FAILPOINT("checkpoint.open_read")) {
     return Status::IOError("cannot open for read: " + path);
   }
   // EINTR-safe whole-file read: an interrupted read() resumes instead
   // of reporting a spurious corrupt checkpoint.
-  TABLEGAN_ASSIGN_OR_RETURN(*contents, io::ReadWholeFile(path));
+  TABLEGAN_ASSIGN_OR_RETURN(std::string contents, io::ReadWholeFile(path));
   if (TABLEGAN_FAILPOINT("checkpoint.truncate_read")) {
     // Simulates a partial read / concurrently truncated file; the magic
-    // and CRC checks below must reject whatever half survives.
-    contents->resize(contents->size() / 2);
+    // and CRC checks must reject whatever half survives.
+    contents.resize(contents.size() / 2);
   }
-  if (contents->size() < kMagicSize + kFooterSize ||
-      std::memcmp(contents->data(), kMagicPrefix, sizeof(kMagicPrefix)) !=
-          0) {
-    return Status::InvalidArgument("not a table-GAN model file: " + path);
+  return contents;
+}
+
+// Checks an image's magic, version and CRC-32 footer (`source` names it
+// in errors). On success `*version` holds the format version (3-6) and
+// `*in` spans the body between the magic and the footer.
+Status VerifyImage(const std::string& image, const std::string& source,
+                   ByteReader* in, int* version) {
+  if (image.size() < kMagicSize + kFooterSize ||
+      std::memcmp(image.data(), kMagicPrefix, sizeof(kMagicPrefix)) != 0) {
+    return Status::InvalidArgument("not a table-GAN model file: " + source);
   }
-  if (std::memcmp(contents->data(), kMagicV6, kMagicSize) == 0) {
-    *version = 6;
-  } else if (std::memcmp(contents->data(), kMagicV5, kMagicSize) == 0) {
-    *version = 5;
-  } else if (std::memcmp(contents->data(), kMagicV4, kMagicSize) == 0) {
-    *version = 4;
-  } else if (std::memcmp(contents->data(), kMagicV3, kMagicSize) == 0) {
-    *version = 3;
-  } else {
+  const char* magics[] = {kMagicV3, kMagicV4, kMagicV5, kMagicV6};
+  *version = 0;
+  for (int v = 3; v <= 6; ++v) {
+    if (std::memcmp(image.data(), magics[v - 3], kMagicSize) == 0) {
+      *version = v;
+    }
+  }
+  if (*version == 0) {
     return Status::InvalidArgument(
         "unsupported model file version '" +
-        contents->substr(sizeof(kMagicPrefix),
-                         kMagicSize - sizeof(kMagicPrefix)) +
-        "' (this build reads versions 0003-0006): " + path);
+        image.substr(sizeof(kMagicPrefix), kMagicSize - sizeof(kMagicPrefix)) +
+        "' (this build reads versions 0003-0006): " + source);
   }
-  const size_t body = contents->size() - kFooterSize;
+  const size_t body = image.size() - kFooterSize;
   uint32_t stored = 0;
-  std::memcpy(&stored, contents->data() + body, kFooterSize);
-  if (Crc32(contents->data(), body) != stored) {
-    return Status::IOError("corrupt model file (CRC mismatch): " + path);
+  std::memcpy(&stored, image.data() + body, kFooterSize);
+  if (Crc32(image.data(), body) != stored) {
+    return Status::IOError("corrupt model file (CRC mismatch): " + source);
   }
-  in->str(contents->substr(0, body));
-  in->seekg(kMagicSize);
+  in->pos = image.data() + kMagicSize;
+  in->end = image.data() + body;
   return Status::OK();
 }
 
@@ -254,7 +253,7 @@ struct Header {
   std::vector<std::vector<double>> label_level_freqs;
 };
 
-bool ReadHeader(std::istream& in, int version, Header* h) {
+bool ReadHeader(ByteReader& in, int version, Header* h) {
   int64_t v = 0;
   float f = 0.0f;
   TableGanOptions& o = h->options;
@@ -282,20 +281,26 @@ bool ReadHeader(std::istream& in, int version, Header* h) {
   if (!ReadI64(in, &v)) return false;
   o.use_classifier = v != 0;
 
-  if (!ReadI64(in, &v)) return false;
+  // Narrowed fields must survive the cast; their ranges are checked once
+  // the schema (labels, below) and the encoded width (side, in Load) are
+  // known.
+  if (!ReadI64(in, &v) || v != static_cast<int>(v)) return false;
   h->side = static_cast<int>(v);
   int64_t num_labels = 0;
   if (!ReadI64(in, &num_labels) || num_labels < 1 || num_labels > 4096) {
     return false;
   }
   for (int64_t j = 0; j < num_labels; ++j) {
-    if (!ReadI64(in, &v)) return false;
+    if (!ReadI64(in, &v) || v != static_cast<int>(v)) return false;
     h->label_cols.push_back(static_cast<int>(v));
   }
 
   int64_t num_cols = 0;
   if (!ReadI64(in, &num_cols) || num_cols <= 0 || num_cols > 65536) {
     return false;
+  }
+  for (int col : h->label_cols) {
+    if (col < 0 || col >= num_cols) return false;
   }
   for (int64_t c = 0; c < num_cols; ++c) {
     data::ColumnSpec spec;
@@ -425,7 +430,7 @@ bool SameF32(double a, double b) {
   return ua == ub || fa == fb;
 }
 
-bool ReadAdam(std::istream& in, int version, nn::Adam* adam) {
+bool ReadAdam(ByteReader& in, int version, nn::Adam* adam) {
   int64_t t = 0;
   if (!ReadI64(in, &t) || t < 0) return false;
   // Recomputes the bias-correction powers from t; v4 then overwrites
@@ -442,38 +447,20 @@ bool ReadAdam(std::istream& in, int version, nn::Adam* adam) {
   return true;
 }
 
-void WriteAdam(std::ostream& out, int version, nn::Adam* adam) {
+void WriteAdam(std::string& out, nn::Adam* adam) {
   WriteI64(out, adam->step_count());
-  if (version >= 4) {
-    WriteF64(out, adam->beta1_power());
-    WriteF64(out, adam->beta2_power());
-  }
+  WriteF64(out, adam->beta1_power());
+  WriteF64(out, adam->beta2_power());
   for (Tensor* m : adam->MomentTensors()) WriteTensor(out, *m);
 }
 
 }  // namespace
 
-Status TableGan::SaveImpl(const std::string& path, const TrainingState* train,
-                          int version) const {
-  if (version < 3 || version > 6) {
-    return Status::InvalidArgument("unsupported save version " +
-                                   std::to_string(version));
-  }
-  if (version < 6 && (options_.conditional || !normalizer_.all_minmax())) {
-    // Pre-v6 layouts have nowhere to carry the mixtures or the label
-    // vocabulary; silently dropping them would save a model that decodes
-    // differently than it samples.
-    return Status::InvalidArgument(
-        "cannot save a conditional or GMM-normalized model in format "
-        "version " +
-        std::to_string(version) + " (requires version 6)");
-  }
-  std::ostringstream out;
-  out.write(version >= 6
-                ? kMagicV6
-                : (version >= 5 ? kMagicV5
-                                : (version >= 4 ? kMagicV4 : kMagicV3)),
-            kMagicSize);
+void TableGan::EncodeCheckpoint(const TrainingState* train,
+                                std::string* image) const {
+  std::string& out = *image;
+  out.clear();
+  out.append(kMagicV6, kMagicSize);
 
   // Options: the fields that shape the architecture, sampling and the
   // training trajectory (resume validates all of them).
@@ -512,74 +499,61 @@ Status TableGan::SaveImpl(const std::string& path, const TrainingState* train,
     WriteF64(out, normalizer_.minmax().maxs()[static_cast<size_t>(c)]);
   }
 
-  // Sampling-stream counters (v4+): a reloaded model continues Sample's
+  // Sampling-stream counters: a reloaded model continues Sample's
   // counter-derived substreams where this one left off.
-  if (version >= 4) {
-    WriteU64(out, sample_stream_seed_);
-    WriteU64(out, sample_rows_emitted_);
-  }
+  WriteU64(out, sample_stream_seed_);
+  WriteU64(out, sample_rows_emitted_);
 
-  // Loss-mode and guardrail options (v5+).
-  if (version >= 5) {
-    WriteI64(out, static_cast<int64_t>(options_.loss_mode));
-    WriteF32(out, options_.gp_weight);
-    WriteF32(out, options_.sn_weight);
-    WriteI64(out, options_.sn_power_iters);
-    WriteI64(out, static_cast<int64_t>(options_.divergence_action));
-    WriteF32(out, options_.guard_ewma_weight);
-    WriteF32(out, options_.guard_factor);
-    WriteI64(out, options_.guard_warmup_epochs);
-    WriteI64(out, options_.guard_max_rollbacks);
-  }
+  // Loss-mode and guardrail options.
+  WriteI64(out, static_cast<int64_t>(options_.loss_mode));
+  WriteF32(out, options_.gp_weight);
+  WriteF32(out, options_.sn_weight);
+  WriteI64(out, options_.sn_power_iters);
+  WriteI64(out, static_cast<int64_t>(options_.divergence_action));
+  WriteF32(out, options_.guard_ewma_weight);
+  WriteF32(out, options_.guard_factor);
+  WriteI64(out, options_.guard_warmup_epochs);
+  WriteI64(out, options_.guard_max_rollbacks);
 
-  // Record-encoding and conditioning section (v6+).
-  if (version >= 6) {
-    WriteI64(out, options_.conditional ? 1 : 0);
-    WriteI64(out, options_.gmm_components);
-    WriteI64(out, static_cast<int64_t>(options_.gmm_columns.size()));
-    for (int c : options_.gmm_columns) WriteI64(out, c);
-    const std::vector<data::ColumnNormalizerSpec>& specs =
-        normalizer_.specs();
-    for (int c = 0; c < schema_.num_columns(); ++c) {
-      const data::NormalizerKind kind =
-          specs.empty() ? data::NormalizerKind::kMinMax
-                        : specs[static_cast<size_t>(c)].kind;
-      WriteI64(out, static_cast<int64_t>(kind));
-      if (kind != data::NormalizerKind::kGmm) continue;
-      const data::GmmColumnNormalizer* g = normalizer_.gmm(c);
-      WriteI64(out, specs[static_cast<size_t>(c)].components);
-      WriteF64(out, g->lo());
-      WriteF64(out, g->hi());
-      WriteI64(out, g->num_components());
-      for (const data::GmmComponent& comp : g->components()) {
-        WriteF64(out, comp.weight);
-        WriteF64(out, comp.mean);
-        WriteF64(out, comp.sigma);
-        WriteF64(out, comp.halfwidth);
-      }
+  // Record-encoding and conditioning section.
+  WriteI64(out, options_.conditional ? 1 : 0);
+  WriteI64(out, options_.gmm_components);
+  WriteI64(out, static_cast<int64_t>(options_.gmm_columns.size()));
+  for (int c : options_.gmm_columns) WriteI64(out, c);
+  const std::vector<data::ColumnNormalizerSpec>& specs =
+      normalizer_.specs();
+  for (int c = 0; c < schema_.num_columns(); ++c) {
+    const data::NormalizerKind kind =
+        specs.empty() ? data::NormalizerKind::kMinMax
+                      : specs[static_cast<size_t>(c)].kind;
+    WriteI64(out, static_cast<int64_t>(kind));
+    if (kind != data::NormalizerKind::kGmm) continue;
+    const data::GmmColumnNormalizer* g = normalizer_.gmm(c);
+    WriteI64(out, specs[static_cast<size_t>(c)].components);
+    WriteF64(out, g->lo());
+    WriteF64(out, g->hi());
+    WriteI64(out, g->num_components());
+    for (const data::GmmComponent& comp : g->components()) {
+      WriteF64(out, comp.weight);
+      WriteF64(out, comp.mean);
+      WriteF64(out, comp.sigma);
+      WriteF64(out, comp.halfwidth);
     }
-    if (options_.conditional) {
-      for (size_t j = 0; j < label_cols_.size(); ++j) {
-        const std::vector<double>& levels = label_levels_[j];
-        const std::vector<double>& freqs = label_level_freqs_[j];
-        WriteI64(out, static_cast<int64_t>(levels.size()));
-        for (size_t t = 0; t < levels.size(); ++t) {
-          WriteF64(out, levels[t]);
-          WriteF64(out, freqs[t]);
-        }
+  }
+  if (options_.conditional) {
+    for (size_t j = 0; j < label_cols_.size(); ++j) {
+      const std::vector<double>& levels = label_levels_[j];
+      const std::vector<double>& freqs = label_level_freqs_[j];
+      WriteI64(out, static_cast<int64_t>(levels.size()));
+      for (size_t t = 0; t < levels.size(); ++t) {
+        WriteF64(out, levels[t]);
+        WriteF64(out, freqs[t]);
       }
     }
   }
 
   // Network state.
-  auto write_net = [&out](nn::Sequential* net) {
-    for (Tensor* t : AllState(net)) WriteTensor(out, *t);
-  };
-  write_net(generator_.get());
-  write_net(discriminator_.features.get());
-  write_net(discriminator_.head.get());
-  write_net(classifier_.features.get());
-  write_net(classifier_.head.get());
+  for (Tensor* t : NetworkState(Networks())) WriteTensor(out, *t);
 
   // Training section (mid-training checkpoints only).
   WriteI64(out, train != nullptr ? 1 : 0);
@@ -589,27 +563,22 @@ Status TableGan::SaveImpl(const std::string& path, const TrainingState* train,
     for (uint64_t s : rs.s) WriteU64(out, s);
     WriteI64(out, rs.has_cached_gaussian ? 1 : 0);
     WriteF64(out, rs.cached_gaussian);
-    WriteAdam(out, version, train->adam_g);
-    WriteAdam(out, version, train->adam_d);
-    WriteAdam(out, version, train->adam_c);
+    WriteAdam(out, train->adam_g);
+    WriteAdam(out, train->adam_d);
+    WriteAdam(out, train->adam_c);
     WriteI64(out, train->info->initialized() ? 1 : 0);
     for (Tensor* t : train->info->EwmaTensors()) WriteTensor(out, *t);
-    if (version >= 5) {
-      // Divergence-guard state, rollback budget spent, and the
-      // spectral-norm power-iteration vectors (u then v per bound
-      // weight, binding order).
-      WriteF64(out, train->guard != nullptr ? train->guard->ewma() : 0.0);
-      WriteF64(out,
-               train->guard != nullptr ? train->guard->baseline() : 0.0);
-      WriteI64(out, train->guard != nullptr
-                        ? train->guard->observed_epochs()
-                        : 0);
-      WriteI64(out, train->rollbacks_used);
-      std::vector<Tensor*> sn_state;
-      if (train->sn != nullptr) sn_state = train->sn->StateTensors();
-      WriteI64(out, static_cast<int64_t>(sn_state.size()));
-      for (Tensor* t : sn_state) WriteTensor(out, *t);
-    }
+    // Divergence-guard state, rollback budget spent, and the
+    // spectral-norm power-iteration vectors (u then v per bound weight,
+    // binding order).
+    WriteF64(out, train->guard->ewma());
+    WriteF64(out, train->guard->baseline());
+    WriteI64(out, train->guard->observed_epochs());
+    WriteI64(out, train->rollbacks_used);
+    std::vector<Tensor*> sn_state;
+    if (train->sn != nullptr) sn_state = train->sn->StateTensors();
+    WriteI64(out, static_cast<int64_t>(sn_state.size()));
+    for (Tensor* t : sn_state) WriteTensor(out, *t);
     WriteI64(out, static_cast<int64_t>(history_.size()));
     for (const EpochStats& s : history_) {
       WriteF32(out, s.d_loss);
@@ -621,27 +590,27 @@ Status TableGan::SaveImpl(const std::string& path, const TrainingState* train,
     }
   }
 
-  std::string payload = std::move(out).str();
-  const uint32_t crc = Crc32(payload.data(), payload.size());
-  payload.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  return AtomicWriteFile(path, std::move(payload));
+  const uint32_t crc = Crc32(out.data(), out.size());
+  out.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+}
+
+Status TableGan::SaveImpl(const std::string& path,
+                          const TrainingState* train) const {
+  std::string image;
+  EncodeCheckpoint(train, &image);
+  return AtomicWriteFile(path, std::move(image));
 }
 
 Status TableGan::Save(const std::string& path) const {
   if (!fitted_) return Status::FailedPrecondition("Save before Fit");
-  return SaveImpl(path, nullptr, 6);
-}
-
-Status TableGan::SaveCompat(const std::string& path, int version) const {
-  if (!fitted_) return Status::FailedPrecondition("Save before Fit");
-  return SaveImpl(path, nullptr, version);
+  return SaveImpl(path, nullptr);
 }
 
 Result<TableGan> TableGan::Load(const std::string& path) {
-  std::string contents;
-  std::istringstream in;
+  TABLEGAN_ASSIGN_OR_RETURN(const std::string image, ReadModelFile(path));
+  ByteReader in;
   int version = 0;
-  TABLEGAN_RETURN_NOT_OK(ReadVerifiedFile(path, &contents, &in, &version));
+  TABLEGAN_RETURN_NOT_OK(VerifyImage(image, path, &in, &version));
   const auto corrupt = [&path]() {
     return Status::IOError("corrupt model file: " + path);
   };
@@ -659,9 +628,14 @@ Result<TableGan> TableGan::Load(const std::string& path) {
   gan.label_levels_ = std::move(h.label_levels);
   gan.label_level_freqs_ = std::move(h.label_level_freqs);
   // The codec spans the encoded record, which GMM columns widen beyond
-  // the schema width (pre-v6 files: encoded_width == num_columns).
-  gan.codec_ = std::make_unique<data::RecordMatrixCodec>(
-      gan.normalizer_.encoded_width(), gan.side_);
+  // the schema width (pre-v6 files: encoded_width == num_columns). Model
+  // files come from outside the program, so a stored side the record
+  // does not fit is a corrupt file, not a crash in the codec.
+  const int width = gan.normalizer_.encoded_width();
+  if (!data::RecordMatrixCodec::Validate(width, gan.side_).ok()) {
+    return corrupt();
+  }
+  gan.codec_ = std::make_unique<data::RecordMatrixCodec>(width, gan.side_);
   if (h.has_stream) {
     // Continue the saved sampling stream instead of replaying it (v3
     // files fall back to a fresh stream seeded from the options).
@@ -681,13 +655,7 @@ Result<TableGan> TableGan::Load(const std::string& path) {
   gan.classifier_ =
       BuildDiscriminator(gan.side_, h.options.base_channels, &init_rng,
                          static_cast<int>(gan.label_cols_.size()));
-  if (!ReadNet(in, gan.generator_.get()) ||
-      !ReadNet(in, gan.discriminator_.features.get()) ||
-      !ReadNet(in, gan.discriminator_.head.get()) ||
-      !ReadNet(in, gan.classifier_.features.get()) ||
-      !ReadNet(in, gan.classifier_.head.get())) {
-    return corrupt();
-  }
+  if (!ReadNetworks(in, gan.Networks())) return corrupt();
   int64_t has_training = 0;
   if (!ReadI64(in, &has_training)) return corrupt();
   gan.fitted_ = true;
@@ -696,15 +664,21 @@ Result<TableGan> TableGan::Load(const std::string& path) {
 
 Status TableGan::RestoreTrainingState(const std::string& path,
                                       TrainingState* train) {
-  std::string contents;
-  std::istringstream in;
+  TABLEGAN_ASSIGN_OR_RETURN(const std::string image, ReadModelFile(path));
+  return DecodeTrainingState(image, path, train, /*restore_rng=*/true);
+}
+
+Status TableGan::DecodeTrainingState(const std::string& image,
+                                     const std::string& source,
+                                     TrainingState* train, bool restore_rng) {
+  ByteReader in;
   int version = 0;
-  TABLEGAN_RETURN_NOT_OK(ReadVerifiedFile(path, &contents, &in, &version));
-  const auto corrupt = [&path]() {
-    return Status::IOError("corrupt checkpoint file: " + path);
+  TABLEGAN_RETURN_NOT_OK(VerifyImage(image, source, &in, &version));
+  const auto corrupt = [&source]() {
+    return Status::IOError("corrupt checkpoint file: " + source);
   };
-  const auto mismatch = [&path](const std::string& what) {
-    return Status::InvalidArgument("cannot resume from " + path +
+  const auto mismatch = [&source](const std::string& what) {
+    return Status::InvalidArgument("cannot resume from " + source +
                                    ": checkpoint " + what +
                                    " does not match the current run");
   };
@@ -800,19 +774,13 @@ Status TableGan::RestoreTrainingState(const std::string& path,
     sample_rows_emitted_ = h.sample_rows_emitted;
   }
 
-  if (!ReadNet(in, generator_.get()) ||
-      !ReadNet(in, discriminator_.features.get()) ||
-      !ReadNet(in, discriminator_.head.get()) ||
-      !ReadNet(in, classifier_.features.get()) ||
-      !ReadNet(in, classifier_.head.get())) {
-    return corrupt();
-  }
+  if (!ReadNetworks(in, Networks())) return corrupt();
 
   int64_t has_training = 0;
   if (!ReadI64(in, &has_training)) return corrupt();
   if (has_training != 1) {
     return Status::InvalidArgument(
-        "cannot resume from " + path +
+        "cannot resume from " + source +
         ": file is a final model without a training section");
   }
   int64_t v = 0;
@@ -825,7 +793,7 @@ Status TableGan::RestoreTrainingState(const std::string& path,
   if (!ReadI64(in, &v)) return corrupt();
   rs.has_cached_gaussian = v != 0;
   if (!ReadF64(in, &rs.cached_gaussian)) return corrupt();
-  rng_.set_state(rs);
+  if (restore_rng) rng_.set_state(rs);
   if (!ReadAdam(in, version, train->adam_g) ||
       !ReadAdam(in, version, train->adam_d) ||
       !ReadAdam(in, version, train->adam_c)) {
@@ -843,9 +811,7 @@ Status TableGan::RestoreTrainingState(const std::string& path,
         !ReadI64(in, &observed) || observed < 0) {
       return corrupt();
     }
-    if (train->guard != nullptr) {
-      train->guard->Restore(ewma, baseline, observed);
-    }
+    train->guard->Restore(ewma, baseline, observed);
     if (!ReadI64(in, &train->rollbacks_used) || train->rollbacks_used < 0) {
       return corrupt();
     }

@@ -35,8 +35,8 @@ enum class LossMode : int {
 enum class DivergenceAction : int {
   /// Guardrail disabled: diverging runs keep training (pre-v5 behavior).
   kOff = 0,
-  /// Auto-checkpoint the last-good state, restore it into the model and
-  /// abort Fit with a non-OK Status.
+  /// Restore the last-good state into the model (which stays fitted and
+  /// samples), auto-checkpoint it and abort Fit with a non-OK Status.
   kHalt = 1,
   /// Auto-checkpoint and restore the last-good state, then retry the
   /// epoch with fresh randomness (the RNG stream is deliberately NOT

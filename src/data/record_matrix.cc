@@ -10,12 +10,26 @@ namespace data {
 
 RecordMatrixCodec::RecordMatrixCodec(int num_attributes, int side)
     : num_attributes_(num_attributes), side_(side) {
-  TABLEGAN_CHECK(num_attributes >= 1);
-  TABLEGAN_CHECK(side >= 4 && (side & (side - 1)) == 0)
-      << "side must be a power of two >= 4, got " << side;
-  TABLEGAN_CHECK(side * side >= num_attributes)
-      << side << "x" << side << " matrix cannot hold " << num_attributes
-      << " attributes";
+  const Status valid = Validate(num_attributes, side);
+  TABLEGAN_CHECK(valid.ok()) << valid.message();
+}
+
+Status RecordMatrixCodec::Validate(int num_attributes, int side) {
+  if (num_attributes < 1) {
+    return Status::InvalidArgument("record width must be >= 1");
+  }
+  if (side < 4 || side > (1 << 15) || (side & (side - 1)) != 0) {
+    return Status::InvalidArgument(
+        "side must be a power of two in [4, 32768], got " +
+        std::to_string(side));
+  }
+  if (static_cast<int64_t>(side) * side < num_attributes) {
+    return Status::InvalidArgument(
+        "side too small for encoded record width: " + std::to_string(side) +
+        "x" + std::to_string(side) + " matrix cannot hold " +
+        std::to_string(num_attributes) + " cells");
+  }
+  return Status::OK();
 }
 
 int RecordMatrixCodec::ChooseSide(int num_attributes) {

@@ -20,6 +20,11 @@ class RecordMatrixCodec {
   /// one stride-2 stage) whose square holds `num_attributes` values.
   static int ChooseSide(int num_attributes);
 
+  /// OK iff `side` is a power of two in [4, 32768] whose square holds
+  /// `num_attributes` >= 1 values — the constructor's precondition, as a
+  /// Status for sides that come from options or model files.
+  static Status Validate(int num_attributes, int side);
+
   int num_attributes() const { return num_attributes_; }
   int side() const { return side_; }
 

@@ -5,8 +5,7 @@
 // fetched through the serving daemon. Per-label streams are disjoint
 // from each other and from the unconditional stream, unknown labels
 // map onto NotFound locally and UNKNOWN_LABEL on the wire, and the
-// conditional + GMM state survives a checkpoint round trip (and is
-// rejected by the pre-v6 compatibility writer).
+// conditional + GMM state survives a checkpoint round trip.
 
 #include <gtest/gtest.h>
 
@@ -292,7 +291,7 @@ TEST(ConditionalTest, LabelColumnErrorsNameTheOffendingIndex) {
   }
 }
 
-TEST(ConditionalTest, CheckpointRoundTripsAndPreV6WriterRejects) {
+TEST(ConditionalTest, CheckpointRoundTrips) {
   core::TableGan gan = FitConditionalGan(/*with_gmm=*/true);
   const std::string path = "conditional_ckpt.tgan";
   ASSERT_TRUE(gan.Save(path).ok());
@@ -306,12 +305,6 @@ TEST(ConditionalTest, CheckpointRoundTripsAndPreV6WriterRejects) {
   Result<data::Table> b = loaded->SampleConditional(3, 0, 40, 0.0);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(CompareTablesBitwise(*a, *b), "");
-
-  // The conditional/GMM state cannot be expressed below format v6.
-  const Status compat = gan.SaveCompat("conditional_v5.tgan", 5);
-  ASSERT_FALSE(compat.ok());
-  EXPECT_EQ(compat.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(compat.message().find("requires version 6"), std::string::npos);
 }
 
 TEST(ConditionalTest, ChunkedConditionalSynthesisIsDeterministic) {

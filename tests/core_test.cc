@@ -150,6 +150,51 @@ TEST(TableGanTest, FitRejectsBadInputs) {
   EXPECT_FALSE(gan.Sample(10).ok());  // sample before fit
 }
 
+TEST(TableGanTest, FitRejectsSideThatIsNotAPowerOfTwo) {
+  TableGanOptions o = FastOptions();
+  o.side = 6;  // 36 cells hold the 6 attributes, but the pyramid needs 2^k
+  TableGan gan(o);
+  const Status st = gan.Fit(TinyTrainingTable(64, 1), 5);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("power of two"), std::string::npos)
+      << st.message();
+  EXPECT_FALSE(gan.fitted());
+}
+
+TEST(TableGanTest, FailedRefitLeavesTheModelUnfitted) {
+  Rng rng(5);
+  data::Table adult = data::MakeAdultLike(64, &rng);
+  data::Table lacity = data::MakeLaCityLike(64, &rng);
+  TableGanOptions o = FastOptions();
+  o.epochs = 1;
+  o.side = 4;
+  TableGan gan(o);
+  ASSERT_TRUE(
+      gan.Fit(adult,
+              adult.schema().ColumnsWithRole(data::ColumnRole::kLabel)[0])
+          .ok());
+  ASSERT_TRUE(gan.fitted());
+
+  // 24 attributes do not fit a 4x4 record matrix: the re-Fit must fail
+  // before it touches the model, and the model must stop claiming to be
+  // fitted rather than serve a half-replaced state.
+  const Status st = gan.Fit(
+      lacity, lacity.schema().ColumnsWithRole(data::ColumnRole::kLabel)[0]);
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("side too small"), std::string::npos)
+      << st.message();
+  EXPECT_FALSE(gan.fitted());
+  EXPECT_EQ(gan.Sample(4).status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(gan.Save(::testing::TempDir() + "/refit.tgan").code(),
+            StatusCode::kFailedPrecondition);
+  // The schema was never replaced: the old model's shape is intact.
+  EXPECT_EQ(gan.side(), 4);
+  EXPECT_EQ(gan.label_col(),
+            adult.schema().ColumnsWithRole(data::ColumnRole::kLabel)[0]);
+}
+
 TEST(TableGanTest, TrainsAndSamplesWithSchema) {
   data::Table t = TinyTrainingTable(256, 2);
   TableGan gan(FastOptions());

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -243,6 +244,9 @@ TEST_F(GuardrailFitTest, InjectedNanHaltsWithLoadableAutoCheckpoint) {
   for (const auto& e : gan.history()) {
     EXPECT_TRUE(std::isfinite(e.d_loss));
   }
+  EXPECT_TRUE(gan.fitted());
+  Result<data::Table> own = gan.Sample(8);
+  ASSERT_TRUE(own.ok()) << own.status().ToString();
 
   // Every telemetry line — including the NaN epoch — is strict JSON,
   // and the stream carries a diverged event pointing at the
@@ -278,6 +282,45 @@ TEST_F(GuardrailFitTest, InjectedNanHaltsWithLoadableAutoCheckpoint) {
   EXPECT_EQ(sample->num_rows(), 8);
 }
 
+// A halted model serves exactly the last-good state its error message
+// promises: the same rows as the epoch-2 periodic checkpoint and as the
+// auto-checkpoint, bit for bit. That also pins the snapshot restore.
+TEST_F(GuardrailFitTest, HaltedModelSamplesTheLastGoodState) {
+  data::Table table = SmallTable();
+  const int label =
+      table.schema().ColumnsWithRole(data::ColumnRole::kLabel)[0];
+
+  failpoint::Scoped fp("train.loss_nan", "after(2)");  // epoch 3 diverges
+  core::TableGanOptions options = GuardOptions();
+  options.divergence_action = core::DivergenceAction::kHalt;
+  options.checkpoint_every = 1;
+  core::TableGan gan(options);
+  const Status fit = gan.Fit(table, label);
+  ASSERT_FALSE(fit.ok());
+  EXPECT_NE(fit.ToString().find("diverged at epoch 3"), std::string::npos)
+      << fit.ToString();
+  ASSERT_TRUE(gan.fitted());
+
+  const uint64_t seed = 424242;
+  Result<data::Table> halted = gan.SampleRange(seed, 0, 64);
+  ASSERT_TRUE(halted.ok()) << halted.status().ToString();
+  for (const char* file : {"/ckpt-epoch-0002.tgan",
+                           "/diverged-last-good.tgan"}) {
+    Result<core::TableGan> loaded = core::TableGan::Load(dir_ + file);
+    ASSERT_TRUE(loaded.ok()) << file << ": " << loaded.status().ToString();
+    Result<data::Table> rows = loaded->SampleRange(seed, 0, 64);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    ASSERT_EQ(rows->num_rows(), halted->num_rows());
+    for (int64_t r = 0; r < rows->num_rows(); ++r) {
+      for (int c = 0; c < rows->num_columns(); ++c) {
+        ASSERT_EQ(std::bit_cast<uint64_t>(rows->Get(r, c)),
+                  std::bit_cast<uint64_t>(halted->Get(r, c)))
+            << file << " differs at (" << r << ", " << c << ")";
+      }
+    }
+  }
+}
+
 TEST_F(GuardrailFitTest, RollbackRetriesTheEpochAndCompletes) {
   data::Table table = SmallTable();
   const int label =
@@ -301,6 +344,18 @@ TEST_F(GuardrailFitTest, RollbackRetriesTheEpochAndCompletes) {
       std::filesystem::exists(dir_ + "/diverged-last-good.tgan"));
   Result<data::Table> sample = gan.Sample(4);
   ASSERT_TRUE(sample.ok());
+
+  // The epochs before the rollback match an undisturbed run; the retried
+  // epoch does not, because the RNG stream is deliberately not rewound —
+  // a retry draws a fresh batch order instead of replaying the one that
+  // diverged.
+  failpoint::Reset();
+  core::TableGan undisturbed(options);
+  ASSERT_TRUE(undisturbed.Fit(table, label).ok());
+  for (size_t e = 0; e < 3; ++e) {
+    EXPECT_EQ(gan.history()[e].d_loss, undisturbed.history()[e].d_loss) << e;
+  }
+  EXPECT_NE(gan.history()[3].d_loss, undisturbed.history()[3].d_loss);
 }
 
 TEST_F(GuardrailFitTest, RollbackBudgetExhaustionHalts) {

@@ -17,6 +17,7 @@ asan_tests=(
   csv_robustness_test
   serialization_test
   checkpoint_resume_test
+  checkpoint_golden_test
   workspace_reuse_test
   failpoint_test
   property_fuzz_test

@@ -27,6 +27,7 @@ ubsan_tests=(
   chunked_test
   gmm_normalizer_test
   conditional_test
+  checkpoint_golden_test
 )
 
 cmake -B "${build_dir}" -S "${repo_root}" \
