@@ -3,10 +3,11 @@
 //   bench_serve [out.json]   full run: p50/p95/p99 request latency and
 //                            aggregate rows/s at 1, 4 and 16 concurrent
 //                            clients (default out: BENCH_serve.json)
-//   bench_serve --smoke      CI gate: a short single-client run that
+//   bench_serve --smoke      CI gate: a short two-client run that
 //                            also asserts the served bytes are
 //                            bitwise identical to a local Sample;
-//                            exits nonzero on any error or mismatch
+//                            exits nonzero on any error or mismatch,
+//                            or when p50 exceeds kSmokeMaxP50Ms
 //
 // The server runs in-process on a loopback socket, so the measured
 // path is the real one (frame codec, admission, worker pool, SampleRange,
@@ -39,6 +40,10 @@ namespace {
 
 constexpr int64_t kRowsPerRequest = 64;
 constexpr char kModelId[] = "bench";
+/// A 64-row request costs well under a millisecond of work; a p50 above
+/// this bound means requests wait on the transport (a frame split over
+/// two writes cost a ~88 ms delayed-ACK stall per round trip).
+constexpr double kSmokeMaxP50Ms = 20.0;
 
 core::TableGanOptions BenchModelOptions() {
   core::TableGanOptions opt;
@@ -159,6 +164,12 @@ int RunSmoke() {
 
   const LevelResult r = RunLevel(server.port(), 2, 8, seed);
   server.Shutdown();
+  if (r.p50_ms > kSmokeMaxP50Ms) {
+    std::fprintf(stderr,
+                 "FAIL: smoke p50 %.2f ms exceeds the %.0f ms bound\n",
+                 r.p50_ms, kSmokeMaxP50Ms);
+    return 1;
+  }
   std::printf("serve smoke OK: %d requests, p50 %.2f ms, %.0f rows/s, "
               "remote output bitwise identical to local Sample\n",
               r.requests, r.p50_ms, r.rows_per_sec);

@@ -1,6 +1,7 @@
 #include "common/io_retry.h"
 
 #include <fcntl.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -32,7 +33,11 @@ Result<size_t> ReadFull(int fd, void* buf, size_t n) {
   return got;
 }
 
-Status WriteFull(int fd, const void* buf, size_t n) {
+namespace {
+
+// The retry loop of WriteFull and SendFull; `socket` selects send(2)
+// with MSG_NOSIGNAL over write(2).
+Status PutFull(int fd, const void* buf, size_t n, bool socket) {
   const char* p = static_cast<const char*>(buf);
   size_t put = 0;
   while (put < n) {
@@ -40,15 +45,26 @@ Status WriteFull(int fd, const void* buf, size_t n) {
       errno = EINTR;
       continue;
     }
-    const ssize_t w = ::write(fd, p + put, n - put);
+    const ssize_t w = socket ? ::send(fd, p + put, n - put, MSG_NOSIGNAL)
+                             : ::write(fd, p + put, n - put);
     if (w < 0) {
       if (errno == EINTR) continue;
-      return Status::IOError(std::string("write failed: ") +
-                             std::strerror(errno));
+      return Status::IOError(std::string(socket ? "send" : "write") +
+                             " failed: " + std::strerror(errno));
     }
     put += static_cast<size_t>(w);
   }
   return Status::OK();
+}
+
+}  // namespace
+
+Status WriteFull(int fd, const void* buf, size_t n) {
+  return PutFull(fd, buf, n, /*socket=*/false);
+}
+
+Status SendFull(int fd, const void* buf, size_t n) {
+  return PutFull(fd, buf, n, /*socket=*/true);
 }
 
 Result<std::string> ReadWholeFile(const std::string& path) {

@@ -31,6 +31,12 @@ Result<size_t> ReadFull(int fd, void* buf, size_t n);
 /// Writes all `n` bytes of `buf`, retrying EINTR and short writes.
 Status WriteFull(int fd, const void* buf, size_t n);
 
+/// WriteFull for a socket: sends with MSG_NOSIGNAL, so writing into a
+/// connection the peer has closed returns an IOError (EPIPE) instead of
+/// raising SIGPIPE, without touching the process's signal disposition.
+/// Same retries and io.write_eintr site as WriteFull.
+Status SendFull(int fd, const void* buf, size_t n);
+
 /// Reads a whole file into a string with the EINTR-safe loop.
 /// IOError("cannot open for read: <path>") when the file cannot be
 /// opened, matching the library's historical message shape.

@@ -4,8 +4,10 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 #include "common/failpoint.h"
@@ -22,17 +24,29 @@ bool NeedsQuoting(const std::string& s) {
   return s.find_first_of(",\"\n\r") != std::string::npos;
 }
 
-void WriteField(std::ostream& out, const std::string& s) {
+void AppendField(std::string* out, const std::string& s) {
   if (!NeedsQuoting(s)) {
-    out << s;
+    out->append(s);
     return;
   }
-  out << '"';
+  out->push_back('"');
   for (char ch : s) {
-    if (ch == '"') out << '"';
-    out << ch;
+    if (ch == '"') out->push_back('"');
+    out->push_back(ch);
   }
-  out << '"';
+  out->push_back('"');
+}
+
+// 17 significant digits (max_digits10) make the double -> text ->
+// double trip lossless. to_chars(general, 17) is specified as printf
+// "%.17g" in the C locale: the bytes this writer has always emitted
+// (pinned by csv_robustness_test), so released files stay comparable.
+void AppendNumber(std::string* out, double v) {
+  char buf[32];  // "%.17g" needs at most 24: sign, 17 digits, '.', e-308
+  const std::to_chars_result res = std::to_chars(
+      buf, buf + sizeof(buf), v, std::chars_format::general,
+      std::numeric_limits<double>::max_digits10);
+  out->append(buf, res.ptr);
 }
 
 enum class SplitResult {
@@ -137,26 +151,25 @@ Result<bool> ReadRecord(std::istream& in, std::vector<std::string>* cells,
   return true;
 }
 
-// Serializes the table into `out` (an in-memory stream); the per-row
-// csv.write_row failpoint breaks the stream exactly as a failing disk
-// write used to, so the mid-file-failure tests keep their semantics.
-// `where` names the destination in error messages.
-Status WriteCsvToStream(const Table& table, std::ostream& out,
-                        bool include_header, const std::string& where) {
+// Serializes the table into `out`. The per-row csv.write_row failpoint
+// stands in for a failing disk write: once it fires, the call returns
+// IOError("write failed: <where>") and the caller discards the text.
+// The remaining rows are still range-checked and the site is still
+// evaluated once per row, which the failpoint tests count.
+Status AppendCsv(const Table& table, bool include_header,
+                 const std::string& where, std::string* out) {
   const Schema& schema = table.schema();
   if (include_header) {
     for (int c = 0; c < schema.num_columns(); ++c) {
-      if (c) out << ',';
-      WriteField(out, schema.column(c).name);
+      if (c) out->push_back(',');
+      AppendField(out, schema.column(c).name);
     }
-    out << '\n';
+    out->push_back('\n');
   }
-  // max_digits10 makes the double -> text -> double trip lossless; the
-  // old precision(10) silently perturbed values below ~1e-10 relative.
-  out.precision(std::numeric_limits<double>::max_digits10);
+  bool broken = false;
   for (int64_t r = 0; r < table.num_rows(); ++r) {
     for (int c = 0; c < schema.num_columns(); ++c) {
-      if (c) out << ',';
+      if (c) out->push_back(',');
       const ColumnSpec& spec = schema.column(c);
       const double v = table.Get(r, c);
       if (spec.type == ColumnType::kCategorical &&
@@ -171,17 +184,17 @@ Status WriteCsvToStream(const Table& table, std::ostream& out,
               std::to_string(spec.num_categories()) + ") for column '" +
               spec.name + "' at row " + std::to_string(r));
         }
-        WriteField(out, spec.categories[static_cast<size_t>(idx)]);
+        AppendField(out, spec.categories[static_cast<size_t>(idx)]);
         continue;
       }
-      out << v;
+      AppendNumber(out, v);
     }
-    out << '\n';
-    // Per-row site so after(n)/every(n) triggers can break the stream
+    out->push_back('\n');
+    // Per-row site so after(n)/every(n) triggers can break the write
     // mid-file, not just at the first byte.
-    if (TABLEGAN_FAILPOINT("csv.write_row")) out.setstate(std::ios::badbit);
+    if (TABLEGAN_FAILPOINT("csv.write_row")) broken = true;
   }
-  if (!out) return Status::IOError("write failed: " + where);
+  if (broken) return Status::IOError("write failed: " + where);
   return Status::OK();
 }
 
@@ -275,14 +288,12 @@ Status WriteCsv(const Table& table, const std::string& path) {
     if (fd >= 0) ::close(fd);
     return Status::IOError("cannot open for write: " + path);
   }
-  std::ostringstream out;
-  Status serialized =
-      WriteCsvToStream(table, out, /*include_header=*/true, path);
+  std::string text;
+  Status serialized = AppendCsv(table, /*include_header=*/true, path, &text);
   if (!serialized.ok()) {
     ::close(fd);
     return serialized;
   }
-  const std::string text = std::move(out).str();
   Status written = io::WriteFull(fd, text.data(), text.size());
   ::close(fd);
   if (!written.ok()) {
@@ -293,10 +304,9 @@ Status WriteCsv(const Table& table, const std::string& path) {
 
 Result<std::string> WriteCsvToString(const Table& table,
                                      bool include_header) {
-  std::ostringstream out;
-  TABLEGAN_RETURN_NOT_OK(
-      WriteCsvToStream(table, out, include_header, "<string>"));
-  return std::move(out).str();
+  std::string text;
+  TABLEGAN_RETURN_NOT_OK(AppendCsv(table, include_header, "<string>", &text));
+  return text;
 }
 
 Result<Table> ReadCsv(const Schema& schema, const std::string& path) {

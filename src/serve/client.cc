@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -57,6 +58,9 @@ Status Client::Connect(const std::string& host, int port) {
     ::close(fd);
     return st;
   }
+  // Frames go out whole (WriteFrame); see Server::AcceptLoop.
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   fd_ = fd;
   return Status::OK();
 }

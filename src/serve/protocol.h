@@ -102,11 +102,13 @@ Result<SampleRequest> DecodeRequest(const std::string& body);
 std::string EncodeResponse(const SampleResponse& resp);
 Result<SampleResponse> DecodeResponse(const std::string& body);
 
-/// Frame I/O over a socket/pipe fd, built on the EINTR-safe io::
-/// helpers. ReadFrame returns NotFound on clean EOF at a frame boundary
-/// (the peer hung up between requests), IOError on a mid-frame EOF or
-/// transport error, and InvalidArgument on bad magic or an oversized
-/// length prefix.
+/// Frame I/O, built on the EINTR-safe io:: helpers. WriteFrame needs a
+/// connected socket: it sends header and body as one buffer with
+/// MSG_NOSIGNAL, so a hung-up peer is an IOError, never SIGPIPE.
+/// ReadFrame takes any readable fd and returns NotFound on clean EOF at
+/// a frame boundary (the peer hung up between requests), IOError on a
+/// mid-frame EOF or transport error, and InvalidArgument on bad magic
+/// or an oversized length prefix.
 ///
 /// Failpoint sites, used by tests to force every malformed-frame shape
 /// onto a live connection: serve.frame.corrupt_magic (outgoing magic

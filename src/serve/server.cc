@@ -2,11 +2,11 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <csignal>
 #include <cstring>
 
 #include "common/logging.h"
@@ -42,11 +42,6 @@ Status Server::Start() {
   if (started_.load()) {
     return Status::FailedPrecondition("server already started");
   }
-  // A client that disappears mid-response must cost us one connection,
-  // not the process: without this, the first write into a hung-up
-  // socket raises SIGPIPE and kills the daemon.
-  std::signal(SIGPIPE, SIG_IGN);
-
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     return Status::IOError(std::string("socket: ") + std::strerror(errno));
@@ -105,6 +100,10 @@ void Server::AcceptLoop() {
       ::close(fd);
       return;
     }
+    // Every frame is one send (WriteFrame), so nothing is gained by
+    // letting Nagle hold a response's tail for the client's ACK.
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     accepted_.fetch_add(1);
     // Admission control: the counter covers running AND pool-queued
     // connections, so the pool's FIFO can never grow past
@@ -177,8 +176,8 @@ void Server::HandleConnection(int fd) {
         .fetch_add(1);
     Status sent = WriteFrame(fd, EncodeResponse(resp));
     if (!sent.ok()) {
-      // SIGPIPE is ignored, so a mid-response hangup lands here as
-      // EPIPE: log and drop this connection only.
+      // WriteFrame sends with MSG_NOSIGNAL, so a mid-response hangup
+      // lands here as EPIPE: log and drop this connection only.
       TABLEGAN_LOG(Error) << "response write failed: "
                           << sent.ToString();
       return;

@@ -51,9 +51,10 @@ struct ServerOptions {
 /// Shutdown (Shutdown(), also run by the destructor) is graceful: the
 /// listen socket closes first, in-flight requests run to completion and
 /// their responses are flushed, then idle connections are unblocked
-/// with an EOF and the workers drain. Start() ignores SIGPIPE process-
-/// wide so a client hanging up mid-response surfaces as a per-
-/// connection write error instead of killing the daemon.
+/// with an EOF and the workers drain. Responses are sent with
+/// MSG_NOSIGNAL, so a client hanging up mid-response surfaces as a
+/// per-connection write error instead of a SIGPIPE that kills the
+/// daemon; the host process's signal disposition is left alone.
 class Server {
  public:
   Server(const ModelRegistry* registry, ServerOptions options);

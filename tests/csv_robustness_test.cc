@@ -1,12 +1,17 @@
 // Round-trip robustness of the CSV reader/writer: RFC-4180 quoting
 // (commas, quotes, line breaks, empty strings in category names and
-// headers), rejection of unknown categories, and the categorical
-// out-of-range write/clamp contract.
+// headers), rejection of unknown categories, the categorical
+// out-of-range write/clamp contract, and the pinned bytes of numeric
+// cells.
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -15,6 +20,7 @@
 #include "data/normalizer.h"
 #include "data/schema.h"
 #include "data/table.h"
+#include "proptest.h"
 
 namespace tablegan {
 namespace data {
@@ -170,6 +176,98 @@ TEST(CsvWriteTest, OutOfRangeCategoricalCodeIsAnError) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("color"), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(CsvWriteTest, NumberAndQuotingBytesArePinned) {
+  // The exact text the library has always written: numbers as printf
+  // "%.17g" (the ostream precision-17 bytes), RFC-4180 quoting for
+  // levels and header names. Files and served payloads written before
+  // and after any writer change must compare byte-equal.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Schema schema({
+      {"x, value", ColumnType::kContinuous, ColumnRole::kSensitive, {}},
+      {"level", ColumnType::kCategorical, ColumnRole::kQuasiIdentifier,
+       {"plain", "a,b", "say \"hi\""}},
+      {"n", ColumnType::kDiscrete, ColumnRole::kLabel, {}},
+  });
+  Table t(schema);
+  t.AppendRow({-0.0, 0, 0});
+  t.AppendRow({inf, 1, 1});
+  t.AppendRow({-inf, 2, -42});
+  t.AppendRow({nan, 0, 123456789});
+  t.AppendRow({-nan, 1, 1e16});
+  t.AppendRow({std::numeric_limits<double>::denorm_min(), 2, 1e17});
+  t.AppendRow({DBL_MAX, 0, 0.1});
+  t.AppendRow({-DBL_MAX, 1, 1.0 / 3.0});
+  t.AppendRow({DBL_MIN, 2, 100});
+  t.AppendRow({1e-5, 0, -1});
+  const std::string rows =
+      "-0,plain,0\n"
+      "inf,\"a,b\",1\n"
+      "-inf,\"say \"\"hi\"\"\",-42\n"
+      "nan,plain,123456789\n"
+      "-nan,\"a,b\",10000000000000000\n"
+      "4.9406564584124654e-324,\"say \"\"hi\"\"\",1e+17\n"
+      "1.7976931348623157e+308,plain,0.10000000000000001\n"
+      "-1.7976931348623157e+308,\"a,b\",0.33333333333333331\n"
+      "2.2250738585072014e-308,\"say \"\"hi\"\"\",100\n"
+      "1.0000000000000001e-05,plain,-1\n";
+  const std::string golden = "\"x, value\",level,n\n" + rows;
+
+  auto text = WriteCsvToString(t);
+  ASSERT_TRUE(text.ok()) << text.status().ToString();
+  EXPECT_EQ(*text, golden);
+  auto headerless = WriteCsvToString(t, /*include_header=*/false);
+  ASSERT_TRUE(headerless.ok());
+  EXPECT_EQ(*headerless, rows);
+
+  const std::string path = Path("pinned.csv");
+  ASSERT_TRUE(WriteCsv(t, path).ok());
+  std::ifstream in(path, std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  EXPECT_EQ(file, golden);
+  std::remove(path.c_str());
+}
+
+TEST(CsvWriteTest, PropertyNumericCellsArePrintfPercent17g) {
+  // Random 64-bit patterns cover NaN payloads, subnormals, both zeros
+  // and both infinities as well as ordinary magnitudes.
+  testing_util::ForAllSeeds(
+      "numeric cells == %.17g", 0x43535647ULL, [](uint64_t seed) {
+        Rng rng(seed);
+        Schema schema({
+            {"a", ColumnType::kContinuous, ColumnRole::kSensitive, {}},
+            {"b", ColumnType::kDiscrete, ColumnRole::kSensitive, {}},
+        });
+        Table t(schema);
+        std::vector<double> values;
+        for (int r = 0; r < 64; ++r) {
+          std::vector<double> row(2);
+          for (double& v : row) {
+            const uint64_t bits = rng.NextUint64();
+            std::memcpy(&v, &bits, sizeof(v));
+            values.push_back(v);
+          }
+          t.AppendRow(row);
+        }
+        auto text = WriteCsvToString(t, /*include_header=*/false);
+        if (!text.ok()) return text.status().ToString();
+        std::string expected;
+        for (size_t i = 0; i < values.size(); ++i) {
+          char buf[64];
+          std::snprintf(buf, sizeof(buf), "%.17g", values[i]);
+          expected += buf;
+          expected += i % 2 == 0 ? ',' : '\n';
+        }
+        if (*text == expected) return std::string();
+        size_t at = 0;
+        while (at < text->size() && (*text)[at] == expected[at]) ++at;
+        return "first difference at byte " + std::to_string(at) +
+               ": got '" + text->substr(at, 24) + "' want '" +
+               expected.substr(at, 24) + "'";
+      });
 }
 
 TEST(NormalizerTest, InverseTransformClampsCategoricalCodes) {

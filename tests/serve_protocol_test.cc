@@ -10,7 +10,9 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -19,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include "common/failpoint.h"
+#include "common/io_retry.h"
 #include "core/table_gan.h"
 #include "data/csv.h"
 #include "data/table.h"
@@ -253,8 +256,23 @@ TEST_F(ServeProtocolTest, TruncateFailpointSurfacesBothEnds) {
     EXPECT_FALSE(sent.ok());  // the writer learns about the short write
   }
   sp.CloseWrite();
-  auto got = serve::ReadFrame(sp.read_end(), serve::kMaxRequestBody);
-  ASSERT_FALSE(got.ok());  // the reader sees a mid-frame EOF
+  // Exactly the full header (declaring 10 bytes) plus half the body,
+  // then EOF.
+  char wire[64];
+  auto n = io::ReadFull(sp.read_end(), wire, sizeof(wire));
+  ASSERT_TRUE(n.ok());
+  std::string expected;
+  AppendLe<uint32_t>(&expected, serve::kFrameMagic);
+  AppendLe<uint32_t>(&expected, 10);
+  expected += "01234";
+  EXPECT_EQ(std::string(wire, *n), expected);
+
+  // Replayed to a reader, those bytes are a mid-frame EOF.
+  SocketPair replay;
+  ASSERT_TRUE(io::WriteFull(replay.write_end(), wire, *n).ok());
+  replay.CloseWrite();
+  auto got = serve::ReadFrame(replay.read_end(), serve::kMaxRequestBody);
+  ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kIOError);
 }
 
@@ -282,6 +300,51 @@ TEST_F(ServeProtocolTest, FrameIoRetriesEintr) {
   EXPECT_EQ(*got, "interrupted");
   EXPECT_EQ(failpoint::TriggerCount("io.write_eintr"), 1);
   EXPECT_EQ(failpoint::TriggerCount("io.read_eintr"), 1);
+}
+
+// A client-only process (no Server::Start anywhere) must survive writing
+// into a connection its peer has closed. The peer answers BUSY and
+// closes; the first Call reads that answer, and its request write drew
+// an RST, so the second Call's write hits EPIPE. Without MSG_NOSIGNAL
+// that write raises SIGPIPE, which at SIG_DFL kills the process.
+TEST_F(ServeProtocolTest, ClientSurvivesWritingToClosedPeer) {
+  EXPECT_EXIT(
+      {
+        std::signal(SIGPIPE, SIG_DFL);
+        const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+        sockaddr_in addr;
+        std::memset(&addr, 0, sizeof(addr));
+        addr.sin_family = AF_INET;
+        ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+        socklen_t len = sizeof(addr);
+        if (::bind(listener, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+            ::listen(listener, 1) != 0 ||
+            ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+                          &len) != 0) {
+          std::_Exit(2);
+        }
+        serve::Client client;
+        if (!client.Connect("127.0.0.1", ntohs(addr.sin_port)).ok()) {
+          std::_Exit(2);
+        }
+        const int peer = ::accept(listener, nullptr, nullptr);
+        serve::SampleResponse busy;
+        busy.status = serve::WireStatus::kBusy;
+        if (!serve::WriteFrame(peer, serve::EncodeResponse(busy)).ok()) {
+          std::_Exit(2);
+        }
+        ::close(peer);
+        serve::SampleRequest req;
+        req.model_id = "m";
+        req.row_end = 1;
+        auto first = client.Call(req);
+        if (!first.ok() || first->status != serve::WireStatus::kBusy) {
+          std::_Exit(3);
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        std::_Exit(client.Call(req).ok() ? 4 : 0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 // ------------------------------------------------------------------

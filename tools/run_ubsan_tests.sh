@@ -4,7 +4,8 @@
 # undefined behavior — misaligned vector loads, signed overflow in index
 # arithmetic, out-of-range float casts — fails the run). The SIMD
 # backends are the main target: every intrinsics path is driven through
-# the parity suite's awkward-shape sweep.
+# the parity suite's awkward-shape sweep. The serve-protocol, CSV and
+# failpoint suites cover the frame writer and the char-buffer CSV writer.
 #
 # Usage: tools/run_ubsan_tests.sh [build-dir]   (default: build-ubsan)
 set -euo pipefail
@@ -28,6 +29,9 @@ ubsan_tests=(
   gmm_normalizer_test
   conditional_test
   checkpoint_golden_test
+  serve_protocol_test
+  csv_robustness_test
+  failpoint_test
 )
 
 cmake -B "${build_dir}" -S "${repo_root}" \
