@@ -9,12 +9,12 @@
 namespace tablegan {
 namespace nn {
 
-// Threading model: both passes run batch-parallel over a FixedChunks
-// partition of the sample dimension. Chunk boundaries depend only on the
-// batch size, each sample's arithmetic is self-contained, and the weight/
-// bias gradients accumulate into per-chunk partials that are combined
-// serially in chunk order — so results are bitwise identical at any
-// thread count.
+// Threading model: every pass runs batch-parallel over a FixedChunks
+// partition of the sample dimension and lowers each chunk to one GEMM
+// (nn/conv_chunk.h). Chunk boundaries depend only on the batch size, and
+// the weight/bias gradients accumulate sample by sample into per-chunk
+// partials that are combined serially in chunk order — so results are
+// bitwise identical at any thread count.
 
 Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
                int64_t stride, int64_t padding, bool bias)
@@ -29,99 +29,60 @@ Conv2d::Conv2d(int64_t in_channels, int64_t out_channels, int64_t kernel,
       grad_weight_({out_channels, in_channels * kernel * kernel}),
       grad_bias_({bias ? out_channels : 0}) {}
 
-void Conv2d::EnsureChunkScratch(int64_t count, int64_t patch,
-                                int64_t spatial, bool backward) {
-  if (static_cast<int64_t>(chunk_cols_.size()) < count) {
-    chunk_cols_.resize(static_cast<size_t>(count));
-  }
-  for (int64_t c = 0; c < count; ++c) {
-    chunk_cols_[static_cast<size_t>(c)].ResizeUninitialized(
-        {patch, spatial});
-  }
-  if (!backward) return;
-  if (static_cast<int64_t>(chunk_grad_cols_.size()) < count) {
-    chunk_grad_cols_.resize(static_cast<size_t>(count));
-    dw_partials_.resize(static_cast<size_t>(count));
-    if (has_bias_) db_partials_.resize(static_cast<size_t>(count));
-  }
-  for (int64_t c = 0; c < count; ++c) {
-    chunk_grad_cols_[static_cast<size_t>(c)].ResizeUninitialized(
-        {patch, spatial});
-    dw_partials_[static_cast<size_t>(c)].ResizeUninitialized(
-        {out_channels_, patch});
-    if (has_bias_) {
-      db_partials_[static_cast<size_t>(c)].ResizeUninitialized(
-          {out_channels_});
-    }
-  }
-}
-
-Tensor Conv2d::Forward(const Tensor& input, bool /*training*/) {
+ops::Conv2dGeometry Conv2d::InputGeometry(const Tensor& input) const {
   TABLEGAN_CHECK(input.rank() == 4 && input.dim(1) == in_channels_)
       << "Conv2d input " << ShapeToString(input.shape());
-  cached_input_ = input;
-  const int64_t n = input.dim(0);
   ops::Conv2dGeometry g{in_channels_, input.dim(2), input.dim(3), kernel_,
                         stride_, padding_};
-  const int64_t oh = g.out_h(), ow = g.out_w(), spatial = oh * ow;
-  TABLEGAN_CHECK(oh > 0 && ow > 0);
-  // Pooled output is safe uninitialized: RawGemmNN with accumulate=false
-  // overwrites every output slice before the bias is added.
-  Tensor output = NewBuffer({n, out_channels_, oh, ow});
+  TABLEGAN_CHECK(g.out_h() > 0 && g.out_w() > 0);
+  return g;
+}
+
+void Conv2d::Lower(const ops::Conv2dGeometry& g, const Tensor& input,
+                   Tensor* output) const {
+  const int64_t patch = g.patch_size(), spatial = g.out_h() * g.out_w();
   const int64_t in_sample = in_channels_ * g.in_h * g.in_w;
-  const FixedChunks chunks(n, kDefaultBatchChunks);
-  EnsureChunkScratch(chunks.count, g.patch_size(), spatial,
-                     /*backward=*/false);
+  const int64_t out_sample = out_channels_ * spatial;
+  const FixedChunks chunks(input.dim(0), kDefaultBatchChunks);
   ParallelFor(chunks.count, 1, [&](int64_t c0, int64_t c1) {
     for (int64_t c = c0; c < c1; ++c) {
-      Tensor& cols = chunk_cols_[static_cast<size_t>(c)];
-      for (int64_t i = chunks.begin(c); i < chunks.end(c); ++i) {
-        ops::Im2Col(g, input.data() + i * in_sample, cols.data());
-        float* out_slice = output.data() + i * out_channels_ * spatial;
-        ops::RawGemmNN(out_channels_, spatial, g.patch_size(), weight_.data(),
-                       cols.data(), out_slice, /*accumulate=*/false);
+      const int64_t b = chunks.begin(c), cnt = chunks.end(c) - b;
+      const int64_t width = cnt * spatial;
+      ConvScratch& s = ThreadConvScratch(patch, out_channels_, spatial, cnt);
+      for (int64_t j = 0; j < cnt; ++j) {
+        ops::Im2Col(g, input.data() + (b + j) * in_sample, s.sample.data());
+        ToColumnBlock(patch, spatial, width, s.sample.data(),
+                      s.cols.data() + j * spatial);
+      }
+      // out = W * cols for the whole chunk, then back to NCHW.
+      ops::RawGemmNN(out_channels_, width, patch, weight_.data(),
+                     s.cols.data(), s.mat.data(), /*accumulate=*/false);
+      for (int64_t j = 0; j < cnt; ++j) {
+        float* out = output->data() + (b + j) * out_sample;
+        FromColumnBlock(out_channels_, spatial, width,
+                        s.mat.data() + j * spatial, out);
         if (has_bias_) {
-          for (int64_t ch = 0; ch < out_channels_; ++ch) {
-            const float b = bias_[ch];
-            float* row = out_slice + ch * spatial;
-            for (int64_t s = 0; s < spatial; ++s) row[s] += b;
-          }
+          AddChannelBias(out_channels_, spatial, bias_.data(), out);
         }
       }
     }
   });
+}
+
+Tensor Conv2d::Forward(const Tensor& input, bool /*training*/) {
+  const ops::Conv2dGeometry g = InputGeometry(input);
+  cached_input_ = input;
+  // The pooled output is safe uninitialized: Lower writes every element.
+  Tensor output =
+      NewBuffer({input.dim(0), out_channels_, g.out_h(), g.out_w()});
+  Lower(g, input, &output);
   return output;
 }
 
 Tensor Conv2d::Infer(const Tensor& input) const {
-  TABLEGAN_CHECK(input.rank() == 4 && input.dim(1) == in_channels_)
-      << "Conv2d input " << ShapeToString(input.shape());
-  const int64_t n = input.dim(0);
-  ops::Conv2dGeometry g{in_channels_, input.dim(2), input.dim(3), kernel_,
-                        stride_, padding_};
-  const int64_t oh = g.out_h(), ow = g.out_w(), spatial = oh * ow;
-  TABLEGAN_CHECK(oh > 0 && ow > 0);
-  Tensor output({n, out_channels_, oh, ow});
-  const int64_t in_sample = in_channels_ * g.in_h * g.in_w;
-  const FixedChunks chunks(n, kDefaultBatchChunks);
-  ParallelFor(chunks.count, 1, [&](int64_t c0, int64_t c1) {
-    Tensor cols({g.patch_size(), spatial});
-    for (int64_t c = c0; c < c1; ++c) {
-      for (int64_t i = chunks.begin(c); i < chunks.end(c); ++i) {
-        ops::Im2Col(g, input.data() + i * in_sample, cols.data());
-        float* out_slice = output.data() + i * out_channels_ * spatial;
-        ops::RawGemmNN(out_channels_, spatial, g.patch_size(), weight_.data(),
-                       cols.data(), out_slice, /*accumulate=*/false);
-        if (has_bias_) {
-          for (int64_t ch = 0; ch < out_channels_; ++ch) {
-            const float b = bias_[ch];
-            float* row = out_slice + ch * spatial;
-            for (int64_t s = 0; s < spatial; ++s) row[s] += b;
-          }
-        }
-      }
-    }
-  });
+  const ops::Conv2dGeometry g = InputGeometry(input);
+  Tensor output({input.dim(0), out_channels_, g.out_h(), g.out_w()});
+  Lower(g, input, &output);
   return output;
 }
 
@@ -129,8 +90,7 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
   const Tensor& input = cached_input_;
   TABLEGAN_CHECK(!input.empty()) << "Backward before Forward";
   const int64_t n = input.dim(0);
-  ops::Conv2dGeometry g{in_channels_, input.dim(2), input.dim(3), kernel_,
-                        stride_, padding_};
+  const ops::Conv2dGeometry g = InputGeometry(input);
   const int64_t oh = g.out_h(), ow = g.out_w(), spatial = oh * ow;
   TABLEGAN_CHECK(grad_output.rank() == 4 && grad_output.dim(0) == n &&
                  grad_output.dim(1) == out_channels_ &&
@@ -139,55 +99,44 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
   // Col2Im accumulates into its target, so the pooled grad_input must be
   // explicitly zeroed (matching the zero-filled fresh tensor it replaces).
   Tensor grad_input = NewZeroedBuffer(input.shape());
+  const int64_t patch = g.patch_size();
   const int64_t in_sample = in_channels_ * g.in_h * g.in_w;
+  const int64_t out_sample = out_channels_ * spatial;
   const FixedChunks chunks(n, kDefaultBatchChunks);
-  EnsureChunkScratch(chunks.count, g.patch_size(), spatial,
-                     /*backward=*/true);
-  std::vector<Tensor>& dw = dw_partials_;
-  std::vector<Tensor>& db = db_partials_;
+  partials_.Resize(chunks.count, grad_weight_,
+                   has_bias_ ? &grad_bias_ : nullptr);
   ParallelFor(chunks.count, 1, [&](int64_t c0, int64_t c1) {
     for (int64_t c = c0; c < c1; ++c) {
-      Tensor& cols = chunk_cols_[static_cast<size_t>(c)];
-      Tensor& grad_cols = chunk_grad_cols_[static_cast<size_t>(c)];
-      auto& dw_c = dw[static_cast<size_t>(c)];
-      dw_c.SetZero();
-      if (has_bias_) db[static_cast<size_t>(c)].SetZero();
-      for (int64_t i = chunks.begin(c); i < chunks.end(c); ++i) {
-        const float* go_slice =
-            grad_output.data() + i * out_channels_ * spatial;
-        // dW_c += dOut * cols^T  (recompute cols; cheaper than caching N
-        // copies)
-        ops::Im2Col(g, input.data() + i * in_sample, cols.data());
-        ops::RawGemmNT(out_channels_, g.patch_size(), spatial, go_slice,
-                       cols.data(), dw_c.data(), /*accumulate=*/true);
+      const int64_t b = chunks.begin(c), cnt = chunks.end(c) - b;
+      const int64_t width = cnt * spatial;
+      ConvScratch& s = ThreadConvScratch(patch, out_channels_, spatial, cnt);
+      partials_.Zero(c);
+      for (int64_t j = 0; j < cnt; ++j) {
+        const float* go = grad_output.data() + (b + j) * out_sample;
+        // dW_c += dOut * cols^T one sample at a time, which keeps the
+        // gradient's accumulation order (recompute cols; cheaper than
+        // caching N copies).
+        ops::Im2Col(g, input.data() + (b + j) * in_sample, s.sample.data());
+        ops::RawGemmNT(out_channels_, patch, spatial, go, s.sample.data(),
+                       partials_.dw(c), /*accumulate=*/true);
         if (has_bias_) {
-          float* db_c = db[static_cast<size_t>(c)].data();
-          for (int64_t ch = 0; ch < out_channels_; ++ch) {
-            const float* row = go_slice + ch * spatial;
-            float acc = 0.0f;
-            for (int64_t s = 0; s < spatial; ++s) acc += row[s];
-            db_c[ch] += acc;
-          }
+          AccumulateChannelSums(out_channels_, spatial, go, partials_.db(c));
         }
-        // dCols = W^T * dOut; dInput = col2im(dCols)
-        ops::RawGemmTN(g.patch_size(), spatial, out_channels_, weight_.data(),
-                       go_slice, grad_cols.data(), /*accumulate=*/false);
-        ops::Col2Im(g, grad_cols.data(), grad_input.data() + i * in_sample);
+        ToColumnBlock(out_channels_, spatial, width, go,
+                      s.mat.data() + j * spatial);
+      }
+      // dCols = W^T * dOut for the whole chunk; dInput = col2im(dCols).
+      ops::RawGemmTN(patch, width, out_channels_, weight_.data(),
+                     s.mat.data(), s.cols.data(), /*accumulate=*/false);
+      for (int64_t j = 0; j < cnt; ++j) {
+        FromColumnBlock(patch, spatial, width, s.cols.data() + j * spatial,
+                        s.sample.data());
+        ops::Col2Im(g, s.sample.data(),
+                    grad_input.data() + (b + j) * in_sample);
       }
     }
   });
-  // Combine chunk partials serially in chunk order (fixed reduction order
-  // keeps gradients independent of the thread count).
-  for (int64_t c = 0; c < chunks.count; ++c) {
-    const float* p = dw[static_cast<size_t>(c)].data();
-    float* gw = grad_weight_.data();
-    for (int64_t idx = 0; idx < grad_weight_.size(); ++idx) gw[idx] += p[idx];
-    if (has_bias_) {
-      const float* pb = db[static_cast<size_t>(c)].data();
-      float* gb = grad_bias_.data();
-      for (int64_t ch = 0; ch < out_channels_; ++ch) gb[ch] += pb[ch];
-    }
-  }
+  partials_.CombineInto(&grad_weight_, has_bias_ ? &grad_bias_ : nullptr);
   return grad_input;
 }
 

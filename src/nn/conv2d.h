@@ -4,15 +4,16 @@
 #include <string>
 #include <vector>
 
+#include "nn/conv_chunk.h"
 #include "nn/layer.h"
 #include "tensor/im2col.h"
 
 namespace tablegan {
 namespace nn {
 
-/// Strided 2-D convolution over NCHW tensors, implemented as
-/// im2col + GEMM. This is the discriminator/classifier building block of
-/// the DCGAN architecture (paper §4.1.1).
+/// Strided 2-D convolution over NCHW tensors, implemented as im2col +
+/// one GEMM per batch chunk. This is the discriminator/classifier
+/// building block of the DCGAN architecture (paper §4.1.1).
 class Conv2d : public Layer {
  public:
   /// Weight shape [out_channels, in_channels * k * k]; bias [out_channels]
@@ -33,11 +34,14 @@ class Conv2d : public Layer {
   bool has_bias() const { return has_bias_; }
 
  private:
-  /// Grows the per-chunk scratch tensors to `count` chunks. Called
-  /// single-threaded before the parallel region; each FixedChunks id then
-  /// owns its own scratch, so tasks never share a buffer.
-  void EnsureChunkScratch(int64_t count, int64_t patch, int64_t spatial,
-                          bool backward);
+  /// Checked geometry of `input` (rank 4, in_channels_ channels).
+  ops::Conv2dGeometry InputGeometry(const Tensor& input) const;
+
+  /// The shared Forward/Infer lowering: per FixedChunks chunk, im2col
+  /// each sample into its column block, one GEMM, then a scatter back to
+  /// NCHW with the bias added. Writes every element of `output`.
+  void Lower(const ops::Conv2dGeometry& g, const Tensor& input,
+             Tensor* output) const;
 
   int64_t in_channels_, out_channels_, kernel_, stride_, padding_;
   bool has_bias_;
@@ -46,13 +50,7 @@ class Conv2d : public Layer {
 
   Tensor cached_input_;   // saved by Forward for the backward pass
 
-  // Reusable per-chunk scratch for the training passes (Forward /
-  // Backward only — Infer stays const and allocation-per-call so it can
-  // run concurrently). im2col patches are fully overwritten per sample;
-  // dw/db partials are zeroed at the start of every Backward.
-  std::vector<Tensor> chunk_cols_;       // im2col patches
-  std::vector<Tensor> chunk_grad_cols_;  // backward dCols
-  std::vector<Tensor> dw_partials_, db_partials_;
+  GradPartials partials_;  // per-chunk dW / db of Backward
 };
 
 }  // namespace nn

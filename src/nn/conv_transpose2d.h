@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "nn/conv_chunk.h"
 #include "nn/layer.h"
 #include "tensor/im2col.h"
 
@@ -35,13 +36,15 @@ class ConvTranspose2d : public Layer {
   bool has_bias() const { return has_bias_; }
 
  private:
-  /// Geometry of the *output* image, in Conv2dGeometry terms.
-  ops::Conv2dGeometry OutputGeometry(int64_t in_h, int64_t in_w) const;
+  /// Checked geometry of the *output* image for `input` (rank 4,
+  /// in_channels_ channels), in Conv2dGeometry terms.
+  ops::Conv2dGeometry OutputGeometry(const Tensor& input) const;
 
-  /// Grows the per-chunk scratch tensors to `count` chunks (see Conv2d;
-  /// same ownership rules: one FixedChunks id, one scratch set).
-  void EnsureChunkScratch(int64_t count, int64_t patch, int64_t spatial,
-                          bool backward);
+  /// The shared Forward/Infer lowering: per FixedChunks chunk, gather the
+  /// input channel-major, one GEMM, then col2im per sample with the bias
+  /// added. `output` must start zeroed.
+  void Lower(const ops::Conv2dGeometry& g, const Tensor& input,
+             Tensor* output) const;
 
   int64_t in_channels_, out_channels_, kernel_, stride_, padding_;
   bool has_bias_;
@@ -50,10 +53,7 @@ class ConvTranspose2d : public Layer {
 
   Tensor cached_input_;
 
-  // Reusable per-chunk scratch for the training passes; Infer stays
-  // const/allocating for concurrent use.
-  std::vector<Tensor> chunk_cols_;
-  std::vector<Tensor> dw_partials_, db_partials_;
+  GradPartials partials_;  // per-chunk dW / db of Backward
 };
 
 }  // namespace nn

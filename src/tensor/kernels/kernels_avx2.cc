@@ -1,6 +1,7 @@
 // AVX2/FMA backend. Compiled with -mavx2 -mfma -ffp-contract=off (see
 // src/tensor/CMakeLists.txt): contraction is off so the only FMAs are
-// the explicit _mm256_fmadd_ps in the kFma=true instantiation, giving
+// the explicit _mm256_fmadd_ps (and std::fma in the scalar column
+// tails) of the kFma=true instantiation, giving
 // the kFma=false variant portable strict IEEE semantics — one rounding
 // per multiply and per add. (The production scalar backend is compiled
 // with contraction *on*, so the kFma=false variant matches the
@@ -14,9 +15,11 @@
 // sequence. Reductions along the depth axis keep the scalar kernel's
 // accumulation order per element (NT reuses the shared kNtBlockL
 // boundaries; NN/TN accumulate ascending-k into C-held registers, which
-// is store/load elision and rounds identically). The only reassociating
-// divergence is the NCHW BatchNorm reductions, which split the spatial
-// axis over 8 lanes folded in lane order.
+// is store/load elision and rounds identically). Column tails perform
+// the vector body's exact per-element operation, so a GEMM element's
+// bits do not depend on its column position or on n. The only
+// reassociating divergence is the NCHW BatchNorm reductions, which split
+// the spatial axis over 8 lanes folded in lane order.
 
 #include "tensor/kernels/kernels.h"
 
@@ -25,6 +28,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 
 #include "tensor/kernels/blocking.h"
@@ -44,6 +48,19 @@ inline __m256 MulAdd(__m256 a, __m256 b, __m256 c) {
     return _mm256_fmadd_ps(a, b, c);
   } else {
     return _mm256_add_ps(c, _mm256_mul_ps(a, b));
+  }
+}
+
+// Scalar twin for the GEMM column tails: the same per-element operation
+// as the vector body (one fused rounding when kFma, else mul then add),
+// so an element's bits do not depend on whether its column lands in the
+// body or in the tail.
+template <bool kFma>
+inline float MulAdd(float a, float b, float c) {
+  if constexpr (kFma) {
+    return std::fma(a, b, c);
+  } else {
+    return c + a * b;
   }
 }
 
@@ -133,7 +150,7 @@ void GemmNnAvx2(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
       j0 += 8;
     }
     if (j0 < n) {
-      // Scalar column tail: the reference loop verbatim over [j0, n).
+      // Scalar column tail: the reference loop order over [j0, n).
       for (int64_t i = 0; i < m; ++i) {
         const float* arow = a + i * k;
         float* crow = c + i * n;
@@ -141,7 +158,9 @@ void GemmNnAvx2(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
           const float av = alpha * arow[kk];
           if (av == 0.0f) continue;
           const float* brow = b + kk * n;
-          for (int64_t j = j0; j < n; ++j) crow[j] += av * brow[j];
+          for (int64_t j = j0; j < n; ++j) {
+            crow[j] = MulAdd<kFma>(av, brow[j], crow[j]);
+          }
         }
       }
     }
@@ -216,14 +235,16 @@ void GemmNtAvx2(int64_t m, int64_t n, int64_t k, const float* a,
         }
       }
       if (jv < jw) {
-        // Scalar column tail straight off B (reference loop verbatim).
+        // Scalar column tail straight off B (reference loop order).
         for (int64_t ii = 0; ii < m; ++ii) {
           const float* arow = a + ii * k;
           float* crow = c + ii * n;
           for (int64_t j = j0 + jv; j < j1; ++j) {
             const float* brow = b + j * k;
             float acc = 0.0f;
-            for (int64_t l = l0; l < l1; ++l) acc += arow[l] * brow[l];
+            for (int64_t l = l0; l < l1; ++l) {
+              acc = MulAdd<kFma>(arow[l], brow[l], acc);
+            }
             crow[j] += acc;
           }
         }
@@ -283,7 +304,9 @@ void GemmTnAvx2(int64_t r0, int64_t r1, int64_t m, int64_t n, int64_t k,
         const float av = arow[i];
         if (av == 0.0f) continue;
         float* crow = c + i * n;
-        for (int64_t j = j0; j < n; ++j) crow[j] += av * brow[j];
+        for (int64_t j = j0; j < n; ++j) {
+          crow[j] = MulAdd<kFma>(av, brow[j], crow[j]);
+        }
       }
     }
   }

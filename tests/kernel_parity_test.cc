@@ -27,6 +27,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -433,6 +434,72 @@ TEST_F(BackendParityTest, GemmTnParityAndRowRangesCompose) {
                                   dref, scale))
               << backend->name << " gemm_tn out of bound at (" << i << ","
               << j << ")";
+        }
+      }
+    }
+  }
+}
+
+// A GEMM element's bits must not depend on its column position or on n:
+// the batched convolution lowering puts a sample's columns at a
+// chunk-dependent offset of a chunk-wide product (DESIGN.md §7, §12).
+// So in every backend, a column slice [j0, j0 + w) computed on its own
+// must equal the same columns of the full product bit for bit — whether
+// each column lands in a vector body or a scalar tail on either side.
+TEST(KernelColumnPositionTest, GemmColumnSliceMatchesFullProduct) {
+  std::vector<const Backend*> backends{&kernels::Scalar()};
+  for (bool fma : {false, true}) {
+    if (const Backend* b = kernels::Avx2(fma)) backends.push_back(b);
+  }
+  const int64_t n = 80;
+  std::vector<int64_t> widths;
+  for (int64_t w = 1; w <= 17; ++w) widths.push_back(w);
+  widths.push_back(31);
+  widths.push_back(33);
+  Rng rng(0xc01c0);
+  // k = 300 crosses the kGemmBlockK depth block.
+  for (const auto& [m, k] : {std::pair<int64_t, int64_t>{1, 3}, {5, 37},
+                            {6, 300}}) {
+    const auto a_nn = RandomVec(&rng, m * k);  // [m, k]
+    const auto a_tn = RandomVec(&rng, k * m);  // [k, m]
+    const auto b = RandomVec(&rng, k * n);     // [k, n]
+    const auto c0 = RandomVec(&rng, m * n);
+    for (const Backend* backend : backends) {
+      auto full_nn = c0;
+      backend->gemm_nn(m, n, k, 0.5f, a_nn.data(), b.data(), full_nn.data());
+      auto full_tn = c0;
+      backend->gemm_tn(0, m, m, n, k, a_tn.data(), b.data(), full_tn.data());
+      for (const int64_t w : widths) {
+        for (const int64_t j0 : {0, 1, 7, 8, 16, 29, 47}) {
+          if (j0 + w > n) continue;
+          // Slice operands: columns [j0, j0 + w) of B and C.
+          std::vector<float> bs(static_cast<size_t>(k * w));
+          std::vector<float> cs0(static_cast<size_t>(m * w));
+          std::vector<float> want_nn(cs0.size()), want_tn(cs0.size());
+          for (int64_t r = 0; r < k; ++r) {
+            std::copy_n(b.begin() + r * n + j0, w, bs.begin() + r * w);
+          }
+          for (int64_t r = 0; r < m; ++r) {
+            std::copy_n(c0.begin() + r * n + j0, w, cs0.begin() + r * w);
+            std::copy_n(full_nn.begin() + r * n + j0, w,
+                        want_nn.begin() + r * w);
+            std::copy_n(full_tn.begin() + r * n + j0, w,
+                        want_tn.begin() + r * w);
+          }
+          auto got_nn = cs0;
+          backend->gemm_nn(m, w, k, 0.5f, a_nn.data(), bs.data(),
+                           got_nn.data());
+          EXPECT_BITWISE_EQ(want_nn, got_nn,
+                            backend->name << " gemm_nn slice j0=" << j0
+                                          << " w=" << w << " m=" << m
+                                          << " k=" << k);
+          auto got_tn = cs0;
+          backend->gemm_tn(0, m, m, w, k, a_tn.data(), bs.data(),
+                           got_tn.data());
+          EXPECT_BITWISE_EQ(want_tn, got_tn,
+                            backend->name << " gemm_tn slice j0=" << j0
+                                          << " w=" << w << " m=" << m
+                                          << " k=" << k);
         }
       }
     }

@@ -3,7 +3,9 @@
 # serialization tests (CSV round-trips, checkpoint corruption matrix,
 # resume determinism) under AddressSanitizer, so Load on truncated or
 # bit-flipped files is verified to fail cleanly rather than read out of
-# bounds.
+# bounds. conv_sweep_test covers the batched convolution lowering, whose
+# strided column-block copies are where an off-by-stride write would
+# land.
 #
 # Usage: tools/run_asan_tests.sh [build-dir]   (default: build-asan)
 set -euo pipefail
@@ -24,6 +26,7 @@ asan_tests=(
   loss_mode_test
   divergence_guard_test
   kernel_parity_test
+  conv_sweep_test
   serve_protocol_test
   columnar_test
   chunked_test
