@@ -7,12 +7,9 @@
 // Health < LACity < Adult << Airline per row processed, and that the
 // multi-chunk path (paper §4.4) divides Airline's cost across chunks.
 //
-// Two extra modes cover the training-step workspace:
-//   --train-step [out.json]  times the steady-state step with buffer
-//                            reuse off vs. on and writes the comparison
-//                            to out.json (default BENCH_train_step.json)
-//   --alloc-smoke            exits nonzero if any post-warmup epoch
-//                            allocates from the workspace pool
+// One extra mode times the training step:
+//   --train-step [out.json]  times the steady-state step and writes it to
+//                            out.json (default BENCH_train_step.json)
 
 #include <cstdio>
 #include <cstring>
@@ -75,15 +72,14 @@ void Run() {
 
 // --- Steady-state training-step bench (--train-step) --------------------
 
-core::TableGanOptions TrainStepOptions(bool reuse_workspace) {
+core::TableGanOptions TrainStepOptions() {
   core::TableGanOptions options;
   options.base_channels = 16;
   options.epochs = 8;
   options.batch_size = 32;
   options.latent_dim = 32;
   options.seed = 9001;
-  options.num_threads = 1;  // single-core host; isolates allocator cost
-  options.reuse_workspace = reuse_workspace;
+  options.num_threads = 1;
   return options;
 }
 
@@ -92,10 +88,9 @@ struct TrainStepRun {
   double total_seconds = 0.0;
 };
 
-TrainStepRun RunTrainStepOnce(const data::Table& table, int label_col,
-                              bool reuse_workspace) {
+TrainStepRun RunTrainStepOnce(const data::Table& table, int label_col) {
   TrainStepRun run;
-  core::TableGanOptions options = TrainStepOptions(reuse_workspace);
+  core::TableGanOptions options = TrainStepOptions();
   options.metrics_callback = [&run](const TrainingMetrics& m) {
     run.epochs.push_back(m);
   };
@@ -106,8 +101,8 @@ TrainStepRun RunTrainStepOnce(const data::Table& table, int label_col,
   return run;
 }
 
-// Mean steady-state throughput: epoch 1 warms the pool (and caches), so
-// it is excluded from both configurations symmetrically.
+// Mean steady-state throughput: epoch 1 warms the caches, so it is
+// excluded.
 double SteadyExamplesPerSec(const TrainStepRun& run) {
   double examples = 0.0, seconds = 0.0;
   for (size_t e = 1; e < run.epochs.size(); ++e) {
@@ -118,118 +113,47 @@ double SteadyExamplesPerSec(const TrainStepRun& run) {
 }
 
 void RunTrainStep(const std::string& out_path) {
-  bench::PrintHeader("Training-step throughput: workspace reuse off vs. on");
+  bench::PrintHeader("Training-step throughput");
   Rng rng(7);
   data::Table table = data::MakeAdultLike(4096, &rng);
   const int label_col =
       table.schema().ColumnsWithRole(data::ColumnRole::kLabel)[0];
 
-  // Alternate the configurations and keep the best repetition of each so
-  // that run order, page-cache state and background load on the shared
-  // host do not bias one side.
-  TrainStepRun off, on;
-  double off_eps = 0.0, on_eps = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    TrainStepRun o = RunTrainStepOnce(table, label_col, false);
-    TrainStepRun p = RunTrainStepOnce(table, label_col, true);
-    const double oe = SteadyExamplesPerSec(o);
-    const double pe = SteadyExamplesPerSec(p);
-    if (oe > off_eps) { off_eps = oe; off = o; }
-    if (pe > on_eps) { on_eps = pe; on = p; }
-  }
-  const double speedup = off_eps > 0.0 ? on_eps / off_eps : 0.0;
-
-  int64_t steady_allocs = 0;
-  const TrainingMetrics& last = on.epochs.back();
-  for (size_t e = 1; e < on.epochs.size(); ++e) {
-    steady_allocs += on.epochs[e].workspace_allocs;
+  // Keep the best of a few repetitions so that page-cache state and
+  // background load on a shared host do not decide the figure.
+  constexpr int kReps = 3;
+  TrainStepRun best;
+  double best_eps = 0.0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    TrainStepRun run = RunTrainStepOnce(table, label_col);
+    const double eps = SteadyExamplesPerSec(run);
+    if (eps > best_eps) {
+      best_eps = eps;
+      best = run;
+    }
   }
 
-  const std::vector<int> widths{14, 18, 14, 18};
-  bench::PrintRow({"Mode", "SteadyRows/s", "TotalSecs", "PoolBytes"}, widths);
-  bench::PrintRow({"reuse off", bench::FormatDouble(off_eps, 1),
-                   bench::FormatDouble(off.total_seconds, 2), "0"},
+  const std::vector<int> widths{18, 14};
+  bench::PrintRow({"SteadyRows/s", "TotalSecs"}, widths);
+  bench::PrintRow({bench::FormatDouble(best_eps, 1),
+                   bench::FormatDouble(best.total_seconds, 2)},
                   widths);
-  bench::PrintRow({"reuse on", bench::FormatDouble(on_eps, 1),
-                   bench::FormatDouble(on.total_seconds, 2),
-                   std::to_string(last.workspace_bytes)},
-                  widths);
-  std::printf("\nSpeedup (steady-state rows/s): %.3fx; post-warmup pool "
-              "allocations: %lld\n",
-              speedup, static_cast<long long>(steady_allocs));
 
+  const core::TableGanOptions options = TrainStepOptions();
   std::ofstream out(out_path);
   TABLEGAN_CHECK(out.good());
   out << "{\n"
-      << "  \"bench\": \"train_step_workspace_reuse\",\n"
+      << "  \"bench\": \"train_step\",\n"
       << "  \"rows\": " << table.num_rows() << ",\n"
-      << "  \"batch_size\": " << TrainStepOptions(true).batch_size << ",\n"
-      << "  \"epochs\": " << TrainStepOptions(true).epochs << ",\n"
-      << "  \"num_threads\": 1,\n"
-      << "  \"reuse_off\": {\n"
-      << "    \"steady_examples_per_sec\": " << bench::JsonNumber(off_eps, 3)
+      << "  \"batch_size\": " << options.batch_size << ",\n"
+      << "  \"epochs\": " << options.epochs << ",\n"
+      << "  \"num_threads\": " << options.num_threads << ",\n"
+      << "  \"best_of\": " << kReps << ",\n"
+      << "  \"steady_examples_per_sec\": " << bench::JsonNumber(best_eps, 3)
       << ",\n"
-      << "    \"total_seconds\": " << bench::JsonNumber(off.total_seconds, 4)
-      << "\n  },\n"
-      << "  \"reuse_on\": {\n"
-      << "    \"steady_examples_per_sec\": " << bench::JsonNumber(on_eps, 3)
-      << ",\n"
-      << "    \"total_seconds\": " << bench::JsonNumber(on.total_seconds, 4)
-      << ",\n"
-      << "    \"post_warmup_allocs\": " << steady_allocs << ",\n"
-      << "    \"workspace_bytes\": " << last.workspace_bytes << "\n  },\n"
-      << "  \"speedup\": " << bench::JsonNumber(speedup, 4) << "\n"
-      << "}\n";
+      << "  \"total_seconds\": " << bench::JsonNumber(best.total_seconds, 4)
+      << "\n}\n";
   std::printf("Wrote %s\n", out_path.c_str());
-}
-
-// --- Allocation smoke check (--alloc-smoke) -----------------------------
-
-// Fast gate for CI: after the warmup epoch every training-step buffer
-// must come from the pool. Any post-warmup pool miss fails the run.
-int RunAllocSmoke() {
-  Rng rng(11);
-  data::Table table = data::MakeAdultLike(200, &rng);  // includes a tail batch
-  const int label_col =
-      table.schema().ColumnsWithRole(data::ColumnRole::kLabel)[0];
-  std::vector<TrainingMetrics> seen;
-  core::TableGanOptions options = TrainStepOptions(true);
-  options.epochs = 3;
-  options.metrics_callback = [&seen](const TrainingMetrics& m) {
-    seen.push_back(m);
-  };
-  core::TableGan gan(options);
-  TABLEGAN_CHECK_OK(gan.Fit(table, label_col));
-
-  int failures = 0;
-  if (seen.empty() || seen[0].workspace_allocs == 0) {
-    std::printf("FAIL: warmup epoch reported no pool allocations "
-                "(workspace accounting broken?)\n");
-    ++failures;
-  }
-  for (size_t e = 1; e < seen.size(); ++e) {
-    if (seen[e].workspace_allocs != 0) {
-      std::printf("FAIL: epoch %lld allocated %lld buffers after warmup\n",
-                  static_cast<long long>(seen[e].epoch),
-                  static_cast<long long>(seen[e].workspace_allocs));
-      ++failures;
-    }
-    if (seen[e].workspace_bytes != seen[0].workspace_bytes) {
-      std::printf("FAIL: pool grew after warmup (epoch %lld: %lld bytes, "
-                  "warmup: %lld bytes)\n",
-                  static_cast<long long>(seen[e].epoch),
-                  static_cast<long long>(seen[e].workspace_bytes),
-                  static_cast<long long>(seen[0].workspace_bytes));
-      ++failures;
-    }
-  }
-  if (failures == 0) {
-    std::printf("OK: zero pool allocations across %zu post-warmup epochs "
-                "(pool holds %lld bytes)\n",
-                seen.size() - 1,
-                static_cast<long long>(seen[0].workspace_bytes));
-  }
-  return failures == 0 ? 0 : 1;
 }
 
 }  // namespace
@@ -239,9 +163,6 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--train-step") == 0) {
     tablegan::RunTrainStep(argc > 2 ? argv[2] : "BENCH_train_step.json");
     return 0;
-  }
-  if (argc > 1 && std::strcmp(argv[1], "--alloc-smoke") == 0) {
-    return tablegan::RunAllocSmoke();
   }
   tablegan::Run();
   return 0;

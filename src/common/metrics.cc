@@ -98,9 +98,7 @@ Status JsonlMetricsSink::Record(const TrainingMetrics& m) {
   AppendNumber(&os, "epoch_seconds", m.epoch_seconds);
   os << ",\"examples\":" << m.examples << ',';
   AppendNumber(&os, "examples_per_sec", m.examples_per_sec);
-  os << ",\"workspace_allocs\":" << m.workspace_allocs
-     << ",\"workspace_reuses\":" << m.workspace_reuses
-     << ",\"workspace_bytes\":" << m.workspace_bytes << ',';
+  os << ',';
   AppendNumber(&os, "loss_ewma", m.loss_ewma);
   os << ",\"anomaly\":";
   if (m.anomaly.empty()) {

@@ -31,13 +31,11 @@ struct TrainingMetrics {
   double epoch_seconds = 0.0;
   int64_t examples = 0;      // training examples consumed this epoch
   double examples_per_sec = 0.0;
-  // Workspace accounting for the epoch (zeros when buffer reuse is off).
-  // After the first (warmup) epoch the steady-state contract is
-  // workspace_allocs == 0: every training-step buffer is served from the
-  // pool.
-  int64_t workspace_allocs = 0;   // pool misses (fresh backing arrays)
-  int64_t workspace_reuses = 0;   // pool hits (recycled backing arrays)
-  int64_t workspace_bytes = 0;    // cumulative bytes owned by the pool
+  // Always 0, and not written to the JSONL record. They remain only
+  // because e2ebench/src/bench.cc:63-64 reads them for its
+  // tensor.workspace.hit_ratio metric; they go when that metric does.
+  int64_t workspace_allocs = 0;
+  int64_t workspace_reuses = 0;
   // Divergence-guardrail observability (DESIGN.md §15): the loss-EWMA
   // the guard tracks, and a human-readable anomaly description when
   // this epoch tripped it (empty = healthy). Non-finite losses are

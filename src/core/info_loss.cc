@@ -83,15 +83,10 @@ Tensor InfoLossState::GradFakeFeatures() const {
   const float sd_gap = ls * x_sd_norm;
   const bool mean_active = lm > delta_mean_ && mean_gap > 1e-12f;
   const bool sd_active = ls > delta_sd_ && sd_gap > 1e-12f;
-  // Inactive hinges return an (explicitly zeroed) zero gradient; the
-  // active path overwrites every element, so uninitialized pool memory
-  // is safe there.
-  if (!mean_active && !sd_active) {
-    return ws_ != nullptr ? ws_->TakeZeroed({n, feature_dim_})
-                          : Tensor({n, feature_dim_});
-  }
-  Tensor grad = ws_ != nullptr ? ws_->Take({n, feature_dim_})
-                               : Tensor({n, feature_dim_});
+  // Inactive hinges return a zero gradient; the active path overwrites
+  // every element, so uninitialized memory is safe there.
+  if (!mean_active && !sd_active) return Tensor({n, feature_dim_});
+  Tensor grad = Tensor::Uninitialized({n, feature_dim_});
 
   // The gradient flows through this batch's statistics at full weight:
   // the EWMA (Alg. 2 lines 10-13) smooths the *value* of the global

@@ -2,7 +2,6 @@
 #define TABLEGAN_CORE_INFO_LOSS_H_
 
 #include "tensor/tensor.h"
-#include "tensor/workspace.h"
 
 namespace tablegan {
 namespace core {
@@ -56,11 +55,6 @@ class InfoLossState {
   bool initialized() const { return initialized_; }
   void set_initialized(bool v) { initialized_ = v; }
 
-  /// Binds the workspace GradFakeFeatures() draws its result buffer from
-  /// (null = allocate fresh tensors). The workspace must outlive every
-  /// gradient tensor handed out.
-  void BindWorkspace(Workspace* ws) { ws_ = ws; }
-
  private:
   int64_t feature_dim_;
   float w_, delta_mean_, delta_sd_;
@@ -75,7 +69,6 @@ class InfoLossState {
   // stage their subtraction in it.
   Tensor rx_mean_, rx_sd_, col_mean_scratch_;
   mutable Tensor diff_scratch_;
-  Workspace* ws_ = nullptr;
 };
 
 }  // namespace core

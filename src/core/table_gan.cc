@@ -208,7 +208,6 @@ class TableGan::Trainer {
     int batches = 0;
     int64_t examples = 0;
     double d_seconds = 0.0, c_seconds = 0.0, g_seconds = 0.0;
-    uint64_t ws_takes0 = 0, ws_misses0 = 0;
     Stopwatch watch;
   };
 
@@ -318,27 +317,11 @@ Status TableGan::Trainer::Setup(std::vector<int> label_cols) {
   info_ = std::make_unique<InfoLossState>(gan_.discriminator_.feature_dim,
                                           o_.ewma_weight, o_.delta_mean,
                                           o_.delta_sd);
-  // Bind the shared buffer pool to every network and the info-loss state
-  // so each training-step tensor is recycled instead of reallocated. The
-  // pool changes where buffers live, never their contents (DESIGN.md
-  // memory model), so training is bitwise identical with the flag off.
-  // The old pool (if any) is replaced only after the networks holding
-  // tensors from it have been rebuilt above.
-  if (!o_.reuse_workspace) {
-    gan_.ws_.reset();
-  } else {
-    gan_.ws_ = std::make_unique<Workspace>();
-    for (nn::Sequential* net : gan_.Networks()) {
-      net->SetWorkspace(gan_.ws_.get());
-    }
-    info_->BindWorkspace(gan_.ws_.get());
-  }
   if (o_.loss_mode == LossMode::kSpectralNorm) {
     sn_ = std::make_unique<nn::SpectralNormRegularizer>(
         gan_.discriminator_.Parameters(), gan_.discriminator_.Gradients(),
         o_.sn_weight, o_.sn_power_iters,
         MixSeeds(static_cast<uint64_t>(o_.seed), kSpectralStreamTag));
-    if (gan_.ws_ != nullptr) sn_->BindWorkspace(gan_.ws_.get());
   }
   state_ = TrainingState{0,           adam_g_.get(), adam_d_.get(),
                          adam_c_.get(), info_.get(), &guard_,
@@ -384,10 +367,6 @@ Result<int> TableGan::Trainer::RunEpoch(int epoch) {
   gan_.rng_.Shuffle(&order_);
   stats_ = EpochStats();
   Tally tally;
-  if (gan_.ws_ != nullptr) {
-    tally.ws_takes0 = gan_.ws_->takes();
-    tally.ws_misses0 = gan_.ws_->misses();
-  }
   Stopwatch phase;
   // Every row is visited: the final short batch of `n mod batch` rows
   // trains too. The one exception is a 1-row tail, which is skipped
@@ -731,13 +710,6 @@ Status TableGan::Trainer::ReportMetrics(int epoch, const Tally& tally,
       m.epoch_seconds > 0.0
           ? static_cast<double>(m.examples) / m.epoch_seconds
           : 0.0;
-  if (const Workspace* ws = gan_.ws_.get()) {
-    const uint64_t takes = ws->takes() - tally.ws_takes0;
-    const uint64_t misses = ws->misses() - tally.ws_misses0;
-    m.workspace_allocs = static_cast<int64_t>(misses);
-    m.workspace_reuses = static_cast<int64_t>(takes - misses);
-    m.workspace_bytes = static_cast<int64_t>(ws->allocated_bytes());
-  }
   m.loss_ewma = guard_.ewma();
   m.anomaly = anomaly;
   if (o_.metrics_sink != nullptr) {
@@ -807,9 +779,9 @@ Status TableGan::FitMultiLabel(const data::TableView& table,
 Result<data::Table> TableGan::Sample(int64_t n) {
   if (!fitted_) return Status::FailedPrecondition("Sample before Fit");
   // A zero- (or negative-) row request is a no-op: the persisted
-  // rows-emitted position must not move and the workspace pool must not
-  // be touched, so interleaving empty requests — routine for a serving
-  // frontend — leaves the deterministic stream bit-for-bit unchanged.
+  // rows-emitted position must not move, so interleaving empty requests —
+  // routine for a serving frontend — leaves the deterministic stream
+  // bit-for-bit unchanged.
   if (n <= 0) return data::Table(schema_);
   ScopedNumThreads scoped_threads(options_.num_threads);
   TABLEGAN_ASSIGN_OR_RETURN(

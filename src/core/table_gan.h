@@ -13,7 +13,6 @@
 #include "data/record_matrix.h"
 #include "data/table.h"
 #include "data/table_view.h"
-#include "tensor/workspace.h"
 
 namespace tablegan {
 namespace nn {
@@ -23,6 +22,7 @@ class SpectralNormRegularizer;
 namespace core {
 
 class InfoLossState;
+struct ModelHeader;
 
 /// Per-epoch training telemetry.
 struct EpochStats {
@@ -91,9 +91,9 @@ class TableGan {
   /// parallel across disjoint output slices when threads are available.
   ///
   /// n <= 0 returns an empty table with the training schema without
-  /// advancing the persisted rows-emitted position (and without touching
-  /// the workspace pool), so a zero-row request — e.g. relayed from a
-  /// remote client — cannot perturb subsequent deterministic output.
+  /// advancing the persisted rows-emitted position, so a zero-row
+  /// request — e.g. relayed from a remote client — cannot perturb
+  /// subsequent deterministic output.
   Result<data::Table> Sample(int64_t n);
 
   /// Stateless range sampling for the serving path: rows
@@ -174,6 +174,15 @@ class TableGan {
   /// included, into `*image` (cleared first; its capacity is reused).
   void EncodeCheckpoint(const TrainingState* train, std::string* image) const;
 
+  /// Appends the model-section header (options, schema, normalizer,
+  /// sampling-stream counters, encoding and conditioning section) in the
+  /// current format to `*out`.
+  void EncodeHeader(std::string* out) const;
+
+  /// Takes over a decoded header's fields; the codec and the networks
+  /// are left to the caller.
+  void AdoptHeader(ModelHeader&& h);
+
   /// EncodeCheckpoint, written to `path` atomically.
   Status SaveImpl(const std::string& path, const TrainingState* train) const;
 
@@ -181,7 +190,7 @@ class TableGan {
   /// partially initialized model (networks and optimizers already built
   /// by Fit): weights, optimizer moments, EWMA and guard statistics,
   /// history, and the RNG stream when `restore_rng`. Rejects images whose
-  /// options, schema or normalizer do not match the current run.
+  /// model header does not encode to this run's header bytes.
   Status DecodeTrainingState(const std::string& image,
                              const std::string& source, TrainingState* train,
                              bool restore_rng);
@@ -228,12 +237,6 @@ class TableGan {
   bool fitted_ = false;
   int side_ = 0;
   std::vector<int> label_cols_;
-
-  /// Shape-keyed buffer pool for the training step (null when
-  /// options.reuse_workspace is false). Declared before the networks so
-  /// it is destroyed after them: layers may hold pooled tensors, and a
-  /// pooled tensor must not outlive its pool.
-  std::unique_ptr<Workspace> ws_;
 
   data::Schema schema_;
   data::RecordNormalizer normalizer_;

@@ -43,6 +43,28 @@
 
 namespace tablegan {
 namespace core {
+
+// The model-section header: everything before the network tensors.
+struct ModelHeader {
+  TableGanOptions options;
+  int side = 0;
+  std::vector<int> label_cols;
+  data::Schema schema;
+  std::vector<double> mins, maxs;
+  std::vector<data::ColumnType> types;
+  // Sampling-stream counters (v4+); v3 files leave has_stream false and
+  // the loaded model starts a fresh stream from its options seed.
+  bool has_stream = false;
+  uint64_t sample_stream_seed = 0;
+  uint64_t sample_rows_emitted = 0;
+  // Record-encoding and conditioning section (v6+); pre-v6 files leave
+  // the defaults: all-min-max specs, no mixtures, no label vocabulary.
+  std::vector<data::ColumnNormalizerSpec> specs;
+  std::vector<std::unique_ptr<data::GmmColumnNormalizer>> gmms;
+  std::vector<std::vector<double>> label_levels;
+  std::vector<std::vector<double>> label_level_freqs;
+};
+
 namespace {
 
 constexpr char kMagicPrefix[4] = {'T', 'G', 'A', 'N'};
@@ -232,28 +254,7 @@ Status VerifyImage(const std::string& image, const std::string& source,
   return Status::OK();
 }
 
-// The model-section header: everything before the network tensors.
-struct Header {
-  TableGanOptions options;
-  int side = 0;
-  std::vector<int> label_cols;
-  data::Schema schema;
-  std::vector<double> mins, maxs;
-  std::vector<data::ColumnType> types;
-  // Sampling-stream counters (v4+); v3 files leave has_stream false and
-  // the loaded model starts a fresh stream from its options seed.
-  bool has_stream = false;
-  uint64_t sample_stream_seed = 0;
-  uint64_t sample_rows_emitted = 0;
-  // Record-encoding and conditioning section (v6+); pre-v6 files leave
-  // the defaults: all-min-max specs, no mixtures, no label vocabulary.
-  std::vector<data::ColumnNormalizerSpec> specs;
-  std::vector<std::unique_ptr<data::GmmColumnNormalizer>> gmms;
-  std::vector<std::vector<double>> label_levels;
-  std::vector<std::vector<double>> label_level_freqs;
-};
-
-bool ReadHeader(ByteReader& in, int version, Header* h) {
+bool ReadHeader(ByteReader& in, int version, ModelHeader* h) {
   int64_t v = 0;
   float f = 0.0f;
   TableGanOptions& o = h->options;
@@ -415,21 +416,6 @@ bool ReadHeader(ByteReader& in, int version, Header* h) {
   return true;
 }
 
-// Float-option equality for resume validation. Bit equality first so an
-// unset NaN sentinel matches itself; the numeric fallback lets +0 and
-// -0 compare equal. Comparing through an explicit f32 round-trip (the
-// serialized precision) keeps a value like 0.995 — not representable in
-// binary floating point — from failing the check should a field ever
-// widen to double on the struct while staying f32 on disk.
-bool SameF32(double a, double b) {
-  const float fa = static_cast<float>(a);
-  const float fb = static_cast<float>(b);
-  uint32_t ua = 0, ub = 0;
-  std::memcpy(&ua, &fa, sizeof(ua));
-  std::memcpy(&ub, &fb, sizeof(ub));
-  return ua == ub || fa == fb;
-}
-
 bool ReadAdam(ByteReader& in, int version, nn::Adam* adam) {
   int64_t t = 0;
   if (!ReadI64(in, &t) || t < 0) return false;
@@ -456,14 +442,10 @@ void WriteAdam(std::string& out, nn::Adam* adam) {
 
 }  // namespace
 
-void TableGan::EncodeCheckpoint(const TrainingState* train,
-                                std::string* image) const {
-  std::string& out = *image;
-  out.clear();
-  out.append(kMagicV6, kMagicSize);
-
+void TableGan::EncodeHeader(std::string* header) const {
+  std::string& out = *header;
   // Options: the fields that shape the architecture, sampling and the
-  // training trajectory (resume validates all of them).
+  // training trajectory (resume compares all of them).
   WriteI64(out, options_.side);
   WriteI64(out, options_.latent_dim);
   WriteI64(out, options_.base_channels);
@@ -551,6 +533,32 @@ void TableGan::EncodeCheckpoint(const TrainingState* train,
       }
     }
   }
+}
+
+void TableGan::AdoptHeader(ModelHeader&& h) {
+  side_ = h.side;
+  label_cols_ = std::move(h.label_cols);
+  schema_ = std::move(h.schema);
+  normalizer_.Restore(std::move(h.mins), std::move(h.maxs),
+                      std::move(h.types), std::move(h.specs),
+                      std::move(h.gmms));
+  label_levels_ = std::move(h.label_levels);
+  label_level_freqs_ = std::move(h.label_level_freqs);
+  if (h.has_stream) {
+    // Continue the saved sampling stream instead of replaying it (v3
+    // files fall back to a fresh stream seeded from the options).
+    sample_stream_seed_ = h.sample_stream_seed;
+    sample_rows_emitted_ = h.sample_rows_emitted;
+  }
+}
+
+void TableGan::EncodeCheckpoint(const TrainingState* train,
+                                std::string* image) const {
+  std::string& out = *image;
+  out.clear();
+  out.append(kMagicV6, kMagicSize);
+
+  EncodeHeader(&out);
 
   // Network state.
   for (Tensor* t : NetworkState(Networks())) WriteTensor(out, *t);
@@ -615,18 +623,11 @@ Result<TableGan> TableGan::Load(const std::string& path) {
     return Status::IOError("corrupt model file: " + path);
   };
 
-  Header h;
+  ModelHeader h;
   if (!ReadHeader(in, version, &h)) return corrupt();
 
   TableGan gan(h.options);
-  gan.side_ = h.side;
-  gan.label_cols_ = h.label_cols;
-  gan.schema_ = h.schema;
-  gan.normalizer_.Restore(std::move(h.mins), std::move(h.maxs),
-                          std::move(h.types), std::move(h.specs),
-                          std::move(h.gmms));
-  gan.label_levels_ = std::move(h.label_levels);
-  gan.label_level_freqs_ = std::move(h.label_level_freqs);
+  gan.AdoptHeader(std::move(h));
   // The codec spans the encoded record, which GMM columns widen beyond
   // the schema width (pre-v6 files: encoded_width == num_columns). Model
   // files come from outside the program, so a stored side the record
@@ -636,24 +637,18 @@ Result<TableGan> TableGan::Load(const std::string& path) {
     return corrupt();
   }
   gan.codec_ = std::make_unique<data::RecordMatrixCodec>(width, gan.side_);
-  if (h.has_stream) {
-    // Continue the saved sampling stream instead of replaying it (v3
-    // files fall back to a fresh stream seeded from the options).
-    gan.sample_stream_seed_ = h.sample_stream_seed;
-    gan.sample_rows_emitted_ = h.sample_rows_emitted;
-  }
 
   // Rebuild the architecture, then overwrite its state. (The training
   // section, if present, is ignored here: a checkpoint is a superset of
   // a model file and loads as one.)
-  Rng init_rng(h.options.seed);
-  gan.generator_ =
-      BuildGenerator(gan.side_, h.options.latent_dim + gan.cond_dim(),
-                     h.options.base_channels, &init_rng);
+  const TableGanOptions& o = gan.options_;
+  Rng init_rng(o.seed);
+  gan.generator_ = BuildGenerator(gan.side_, o.latent_dim + gan.cond_dim(),
+                                  o.base_channels, &init_rng);
   gan.discriminator_ =
-      BuildDiscriminator(gan.side_, h.options.base_channels, &init_rng);
+      BuildDiscriminator(gan.side_, o.base_channels, &init_rng);
   gan.classifier_ =
-      BuildDiscriminator(gan.side_, h.options.base_channels, &init_rng,
+      BuildDiscriminator(gan.side_, o.base_channels, &init_rng,
                          static_cast<int>(gan.label_cols_.size()));
   if (!ReadNetworks(in, gan.Networks())) return corrupt();
   int64_t has_training = 0;
@@ -677,101 +672,37 @@ Status TableGan::DecodeTrainingState(const std::string& image,
   const auto corrupt = [&source]() {
     return Status::IOError("corrupt checkpoint file: " + source);
   };
-  const auto mismatch = [&source](const std::string& what) {
-    return Status::InvalidArgument("cannot resume from " + source +
-                                   ": checkpoint " + what +
-                                   " does not match the current run");
-  };
 
-  Header h;
+  ModelHeader h;
   if (!ReadHeader(in, version, &h)) return corrupt();
 
   // Resuming replays the exact stream an uninterrupted run would take,
-  // so every numerics-affecting option must match.
-  const TableGanOptions& o = h.options;
-  if (o.side != options_.side || o.latent_dim != options_.latent_dim ||
-      o.base_channels != options_.base_channels ||
-      o.batch_size != options_.batch_size || o.seed != options_.seed) {
-    return mismatch("architecture options");
+  // so the checkpoint's header must encode to this run's header bytes:
+  // every option that shapes the architecture, the losses and the
+  // guardrail, the label columns, the schema, the fitted normalizer and
+  // the label vocabulary. A v3-v5 header re-encodes in the current
+  // layout with the defaults ReadHeader fills in. The sampling-stream
+  // counters are state rather than configuration: they are compared as
+  // this run's own, then restored from the checkpoint.
+  const bool has_stream = h.has_stream;
+  const uint64_t stream_seed = h.sample_stream_seed;
+  const uint64_t rows_emitted = h.sample_rows_emitted;
+  TableGan theirs(h.options);
+  theirs.AdoptHeader(std::move(h));
+  theirs.sample_stream_seed_ = sample_stream_seed_;
+  theirs.sample_rows_emitted_ = sample_rows_emitted_;
+  std::string mine_bytes, theirs_bytes;
+  EncodeHeader(&mine_bytes);
+  theirs.EncodeHeader(&theirs_bytes);
+  if (mine_bytes != theirs_bytes) {
+    return Status::InvalidArgument(
+        "cannot resume from " + source +
+        ": checkpoint options, schema, normalizer or label vocabulary do "
+        "not match the current run");
   }
-  // Float options are compared through SameF32, never raw `==`/`!=`:
-  // the on-disk representation is f32, and the comparison must be
-  // against what survives that round trip (and an unset NaN must match
-  // itself).
-  if (!SameF32(o.learning_rate, options_.learning_rate) ||
-      !SameF32(o.adam_beta1, options_.adam_beta1) ||
-      !SameF32(o.adam_beta2, options_.adam_beta2) ||
-      !SameF32(o.ewma_weight, options_.ewma_weight) ||
-      !SameF32(o.info_loss_weight, options_.info_loss_weight) ||
-      !SameF32(o.delta_mean, options_.delta_mean) ||
-      !SameF32(o.delta_sd, options_.delta_sd) ||
-      o.use_info_loss != options_.use_info_loss ||
-      o.use_classifier != options_.use_classifier) {
-    return mismatch("training options");
-  }
-  // v4 checkpoints carry no stability section; resuming them under a
-  // non-default loss mode would silently switch objectives mid-run, so
-  // the defaults ReadHeader leaves in place must match too.
-  if (o.loss_mode != options_.loss_mode ||
-      !SameF32(o.gp_weight, options_.gp_weight) ||
-      !SameF32(o.sn_weight, options_.sn_weight) ||
-      o.sn_power_iters != options_.sn_power_iters ||
-      o.divergence_action != options_.divergence_action ||
-      !SameF32(o.guard_ewma_weight, options_.guard_ewma_weight) ||
-      !SameF32(o.guard_factor, options_.guard_factor) ||
-      o.guard_warmup_epochs != options_.guard_warmup_epochs ||
-      o.guard_max_rollbacks != options_.guard_max_rollbacks) {
-    return mismatch("training-stability options");
-  }
-  // The record encoding and conditioning setup shape the generator
-  // input and the codec width; resuming across a change would replay a
-  // different architecture.
-  if (o.conditional != options_.conditional ||
-      o.gmm_components != options_.gmm_components ||
-      o.gmm_columns != options_.gmm_columns) {
-    return mismatch("conditional/GMM options");
-  }
-  if (h.side != side_) return mismatch("matrix side");
-  if (h.label_cols != label_cols_) return mismatch("label columns");
-  if (!h.schema.Equals(schema_)) return mismatch("schema");
-  if (h.mins != normalizer_.minmax().mins() ||
-      h.maxs != normalizer_.minmax().maxs()) {
-    return mismatch("normalizer bounds (different training table?)");
-  }
-  if (version >= 6) {
-    // The fitted mixtures are a deterministic function of the training
-    // table and options, so any drift means a different table.
-    for (int c = 0; c < schema_.num_columns(); ++c) {
-      const data::GmmColumnNormalizer* mine = normalizer_.gmm(c);
-      const data::GmmColumnNormalizer* theirs =
-          h.gmms.empty() ? nullptr : h.gmms[static_cast<size_t>(c)].get();
-      if ((mine == nullptr) != (theirs == nullptr)) {
-        return mismatch("GMM column selection");
-      }
-      if (mine == nullptr) continue;
-      bool equal = mine->lo() == theirs->lo() &&
-                   mine->hi() == theirs->hi() &&
-                   mine->num_components() == theirs->num_components();
-      for (int m = 0; equal && m < mine->num_components(); ++m) {
-        const data::GmmComponent& a =
-            mine->components()[static_cast<size_t>(m)];
-        const data::GmmComponent& b =
-            theirs->components()[static_cast<size_t>(m)];
-        equal = a.weight == b.weight && a.mean == b.mean &&
-                a.sigma == b.sigma && a.halfwidth == b.halfwidth;
-      }
-      if (!equal) {
-        return mismatch("GMM parameters (different training table?)");
-      }
-    }
-    if (options_.conditional && (h.label_levels != label_levels_ ||
-                                 h.label_level_freqs != label_level_freqs_)) {
-      return mismatch("label vocabulary (different training table?)");
-    }
-  }
-  if (h.has_stream) {
-    sample_stream_seed_ = h.sample_stream_seed;
-    sample_rows_emitted_ = h.sample_rows_emitted;
+  if (has_stream) {
+    sample_stream_seed_ = stream_seed;
+    sample_rows_emitted_ = rows_emitted;
   }
 
   if (!ReadNetworks(in, Networks())) return corrupt();
@@ -818,8 +749,8 @@ Status TableGan::DecodeTrainingState(const std::string& image,
     std::vector<Tensor*> sn_state;
     if (train->sn != nullptr) sn_state = train->sn->StateTensors();
     if (!ReadI64(in, &v) || v != static_cast<int64_t>(sn_state.size())) {
-      // loss_mode was validated equal above, so a count mismatch means
-      // a corrupt file, not a mode change.
+      // loss_mode was compared equal above, so a count mismatch means a
+      // corrupt file, not a mode change.
       return corrupt();
     }
     for (Tensor* t : sn_state) {

@@ -140,15 +140,6 @@ struct TableGanOptions {
   /// deterministic: any thread count reproduces the 1-thread results.
   int num_threads = 0;
 
-  /// Reuse training-step buffers (activations, gradients, im2col
-  /// scratch, batch assembly) across iterations via a shape-keyed
-  /// workspace pool, making the steady-state step allocation-free.
-  /// Results are bitwise identical either way; the flag exists so tests
-  /// and benchmarks can compare the pooled and allocating paths. Not
-  /// serialized in checkpoints and not validated on resume — it is a
-  /// memory-management choice, not a model hyper-parameter.
-  bool reuse_workspace = true;
-
   uint64_t seed = 47;
   bool verbose = false;
 

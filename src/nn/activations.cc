@@ -7,24 +7,23 @@
 namespace tablegan {
 namespace nn {
 
-// Forward/Backward write into pooled buffers (NewBuffer) through the
-// dispatched elementwise kernels, which keep the original per-element
-// float expressions, so results are bitwise identical with or without a
-// bound workspace. The cached activations are copy-assigned members:
-// their capacity is reused across steps, so steady-state caching does
-// not allocate either. Infer reuses the same kernels in place (`y` may
-// alias `x` per the backend contract).
+// Forward/Backward write every element of an uninitialized buffer
+// through the dispatched elementwise kernels, which keep the original
+// per-element float expressions. The cached activations are
+// copy-assigned members: their capacity is reused across steps, so
+// steady-state caching does not allocate. Infer reuses the same kernels
+// in place (`y` may alias `x` per the backend contract).
 
 Tensor ReLU::Forward(const Tensor& input, bool /*training*/) {
   cached_input_ = input;
-  Tensor out = NewBuffer(input.shape());
+  Tensor out = Tensor::Uninitialized(input.shape());
   kernels::Active().relu(out.size(), input.data(), out.data());
   return out;
 }
 
 Tensor ReLU::Backward(const Tensor& grad_output) {
   TABLEGAN_CHECK(grad_output.SameShape(cached_input_));
-  Tensor grad = NewBuffer(grad_output.shape());
+  Tensor grad = Tensor::Uninitialized(grad_output.shape());
   kernels::Active().relu_bwd(grad.size(), cached_input_.data(),
                              grad_output.data(), grad.data());
   return grad;
@@ -38,7 +37,7 @@ Tensor ReLU::Infer(const Tensor& input) const {
 
 Tensor LeakyReLU::Forward(const Tensor& input, bool /*training*/) {
   cached_input_ = input;
-  Tensor out = NewBuffer(input.shape());
+  Tensor out = Tensor::Uninitialized(input.shape());
   kernels::Active().leaky_relu(out.size(), negative_slope_, input.data(),
                                out.data());
   return out;
@@ -46,7 +45,7 @@ Tensor LeakyReLU::Forward(const Tensor& input, bool /*training*/) {
 
 Tensor LeakyReLU::Backward(const Tensor& grad_output) {
   TABLEGAN_CHECK(grad_output.SameShape(cached_input_));
-  Tensor grad = NewBuffer(grad_output.shape());
+  Tensor grad = Tensor::Uninitialized(grad_output.shape());
   kernels::Active().leaky_relu_bwd(grad.size(), negative_slope_,
                                    cached_input_.data(), grad_output.data(),
                                    grad.data());
@@ -61,7 +60,7 @@ Tensor LeakyReLU::Infer(const Tensor& input) const {
 }
 
 Tensor Tanh::Forward(const Tensor& input, bool /*training*/) {
-  Tensor out = NewBuffer(input.shape());
+  Tensor out = Tensor::Uninitialized(input.shape());
   kernels::Active().tanh_fwd(out.size(), input.data(), out.data());
   cached_output_ = out;
   return out;
@@ -69,7 +68,7 @@ Tensor Tanh::Forward(const Tensor& input, bool /*training*/) {
 
 Tensor Tanh::Backward(const Tensor& grad_output) {
   TABLEGAN_CHECK(grad_output.SameShape(cached_output_));
-  Tensor grad = NewBuffer(grad_output.shape());
+  Tensor grad = Tensor::Uninitialized(grad_output.shape());
   kernels::Active().tanh_bwd(grad.size(), cached_output_.data(),
                              grad_output.data(), grad.data());
   return grad;
@@ -82,7 +81,7 @@ Tensor Tanh::Infer(const Tensor& input) const {
 }
 
 Tensor Sigmoid::Forward(const Tensor& input, bool /*training*/) {
-  Tensor out = NewBuffer(input.shape());
+  Tensor out = Tensor::Uninitialized(input.shape());
   kernels::Active().sigmoid_fwd(out.size(), input.data(), out.data());
   cached_output_ = out;
   return out;
@@ -90,7 +89,7 @@ Tensor Sigmoid::Forward(const Tensor& input, bool /*training*/) {
 
 Tensor Sigmoid::Backward(const Tensor& grad_output) {
   TABLEGAN_CHECK(grad_output.SameShape(cached_output_));
-  Tensor grad = NewBuffer(grad_output.shape());
+  Tensor grad = Tensor::Uninitialized(grad_output.shape());
   kernels::Active().sigmoid_bwd(grad.size(), cached_output_.data(),
                                 grad_output.data(), grad.data());
   return grad;

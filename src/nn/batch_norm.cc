@@ -99,7 +99,7 @@ Tensor BatchNorm::Forward(const Tensor& input, bool training) {
     cached_inv_std_[c] = 1.0f / std::sqrt(var[c] + eps_);
   }
   cached_xhat_.ResizeUninitialized(input.shape());
-  Tensor output = NewBuffer(input.shape());
+  Tensor output = Tensor::Uninitialized(input.shape());
   kernels::Active().bn_normalize(rows, channels, spatial, input.data(),
                                  mean.data(), cached_inv_std_.data(),
                                  gamma_.data(), beta_.data(),
@@ -152,7 +152,7 @@ Tensor BatchNorm::Backward(const Tensor& grad_output) {
   }
 
   // Fully overwritten in both branches below, so uninitialized is safe.
-  Tensor grad_input = NewBuffer(cached_shape_);
+  Tensor grad_input = Tensor::Uninitialized(cached_shape_);
   if (cached_training_) {
     const float inv_m = 1.0f / static_cast<float>(m);
     kernels::Active().bn_backward_input(

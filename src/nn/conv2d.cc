@@ -72,9 +72,9 @@ void Conv2d::Lower(const ops::Conv2dGeometry& g, const Tensor& input,
 Tensor Conv2d::Forward(const Tensor& input, bool /*training*/) {
   const ops::Conv2dGeometry g = InputGeometry(input);
   cached_input_ = input;
-  // The pooled output is safe uninitialized: Lower writes every element.
-  Tensor output =
-      NewBuffer({input.dim(0), out_channels_, g.out_h(), g.out_w()});
+  // Safe uninitialized: Lower writes every element.
+  Tensor output = Tensor::Uninitialized(
+      {input.dim(0), out_channels_, g.out_h(), g.out_w()});
   Lower(g, input, &output);
   return output;
 }
@@ -96,9 +96,8 @@ Tensor Conv2d::Backward(const Tensor& grad_output) {
                  grad_output.dim(1) == out_channels_ &&
                  grad_output.dim(2) == oh && grad_output.dim(3) == ow);
 
-  // Col2Im accumulates into its target, so the pooled grad_input must be
-  // explicitly zeroed (matching the zero-filled fresh tensor it replaces).
-  Tensor grad_input = NewZeroedBuffer(input.shape());
+  // Col2Im accumulates into its target, so grad_input starts zeroed.
+  Tensor grad_input(input.shape());
   const int64_t patch = g.patch_size();
   const int64_t in_sample = in_channels_ * g.in_h * g.in_w;
   const int64_t out_sample = out_channels_ * spatial;

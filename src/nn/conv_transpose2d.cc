@@ -79,10 +79,8 @@ void ConvTranspose2d::Lower(const ops::Conv2dGeometry& g, const Tensor& input,
 Tensor ConvTranspose2d::Forward(const Tensor& input, bool /*training*/) {
   const ops::Conv2dGeometry g = OutputGeometry(input);
   cached_input_ = input;
-  // Col2Im accumulates into the output, so the pooled buffer must start
-  // zeroed — exactly what the fresh zero-filled tensor used to provide.
-  Tensor output =
-      NewZeroedBuffer({input.dim(0), out_channels_, g.in_h, g.in_w});
+  // Col2Im accumulates into the output, so it starts zeroed.
+  Tensor output({input.dim(0), out_channels_, g.in_h, g.in_w});
   Lower(g, input, &output);
   return output;
 }
@@ -106,8 +104,8 @@ Tensor ConvTranspose2d::Backward(const Tensor& grad_output) {
                  grad_output.dim(2) == g.in_h && grad_output.dim(3) == g.in_w);
 
   // Every sample slice of grad_input is fully overwritten by the scatter
-  // after the chunk GEMM, so the pooled buffer is safe uninitialized.
-  Tensor grad_input = NewBuffer(input.shape());
+  // after the chunk GEMM, so it is safe uninitialized.
+  Tensor grad_input = Tensor::Uninitialized(input.shape());
   const int64_t patch = g.patch_size();
   const int64_t in_sample = in_channels_ * in_spatial;
   const int64_t out_sample = out_channels_ * out_spatial;

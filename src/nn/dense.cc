@@ -21,12 +21,10 @@ Tensor Dense::Forward(const Tensor& input, bool /*training*/) {
       << "Dense input " << ShapeToString(input.shape());
   cached_input_ = input;
   const int64_t n = input.dim(0);
-  // Pooled output is safe uninitialized: Gemm with beta == 0 zeroes C
-  // before accumulating. The workspace also serves the transposed-weight
-  // scratch inside Gemm.
-  Tensor output = NewBuffer({n, out_features_});
+  // Safe uninitialized: Gemm with beta == 0 zeroes C before accumulating.
+  Tensor output = Tensor::Uninitialized({n, out_features_});
   // y = x * W^T
-  ops::Gemm(false, true, 1.0f, input, weight_, 0.0f, &output, ws_);
+  ops::Gemm(false, true, 1.0f, input, weight_, 0.0f, &output);
   if (has_bias_) {
     for (int64_t i = 0; i < n; ++i) {
       float* row = output.data() + i * out_features_;
@@ -59,7 +57,7 @@ Tensor Dense::Backward(const Tensor& grad_output) {
   TABLEGAN_CHECK(grad_output.rank() == 2 && grad_output.dim(0) == n &&
                  grad_output.dim(1) == out_features_);
   // dW += dY^T * X
-  ops::Gemm(true, false, 1.0f, grad_output, input, 1.0f, &grad_weight_, ws_);
+  ops::Gemm(true, false, 1.0f, grad_output, input, 1.0f, &grad_weight_);
   if (has_bias_) {
     for (int64_t i = 0; i < n; ++i) {
       const float* row = grad_output.data() + i * out_features_;
@@ -67,7 +65,7 @@ Tensor Dense::Backward(const Tensor& grad_output) {
     }
   }
   // dX = dY * W
-  Tensor grad_input = NewBuffer({n, in_features_});
+  Tensor grad_input = Tensor::Uninitialized({n, in_features_});
   ops::Gemm(false, false, 1.0f, grad_output, weight_, 0.0f, &grad_input);
   return grad_input;
 }

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "tensor/tensor.h"
-#include "tensor/workspace.h"
 
 namespace tablegan {
 namespace nn {
@@ -20,20 +19,15 @@ namespace nn {
 /// lets table-GAN back-propagate the generator loss through a frozen
 /// discriminator/classifier and later discard those gradients.
 ///
-/// Memory model: a trainer may bind a Workspace buffer pool with
-/// SetWorkspace; Forward/Backward then draw their output and gradient
-/// buffers from the pool (NewBuffer/NewZeroedBuffer below), making the
-/// steady-state training step allocation-free. Results are bitwise
-/// identical with and without a workspace. Infer never touches the
-/// workspace or mutable scratch — it stays const, cache-free and safe to
-/// call concurrently.
+/// Memory model: Forward/Backward allocate their output and gradient
+/// buffers directly. A buffer whose every element the layer writes
+/// starts uninitialized (Tensor::Uninitialized); one the layer
+/// accumulates into (a Col2Im target) starts zeroed (DESIGN.md §10).
+/// Infer never touches mutable scratch — it stays const, cache-free and
+/// safe to call concurrently.
 class Layer {
  public:
   virtual ~Layer() = default;
-
-  /// Binds (or unbinds, with nullptr) the buffer pool used by
-  /// Forward/Backward. Containers override to propagate to children.
-  virtual void SetWorkspace(Workspace* ws) { ws_ = ws; }
 
   /// Computes the layer output. `training` selects batch statistics in
   /// BatchNorm; inference uses running statistics.
@@ -68,19 +62,6 @@ class Layer {
     for (Tensor* g : Gradients()) g->SetZero();
   }
 
- protected:
-  /// An output/gradient buffer that the caller fully overwrites: pooled
-  /// (uninitialized) when a workspace is bound, zero-filled otherwise.
-  Tensor NewBuffer(const std::vector<int64_t>& shape) {
-    return ws_ != nullptr ? ws_->Take(shape) : Tensor(shape);
-  }
-  /// A buffer guaranteed zeroed — for consumers that accumulate into it
-  /// (e.g. Col2Im targets).
-  Tensor NewZeroedBuffer(const std::vector<int64_t>& shape) {
-    return ws_ != nullptr ? ws_->TakeZeroed(shape) : Tensor(shape);
-  }
-
-  Workspace* ws_ = nullptr;
 };
 
 inline Tensor Layer::Infer(const Tensor& input) const {

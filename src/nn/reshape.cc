@@ -1,23 +1,10 @@
 #include "nn/reshape.h"
 
-#include <algorithm>
 #include <sstream>
 #include <utility>
 
 namespace tablegan {
 namespace nn {
-namespace {
-
-// Copies `src`'s elements into a workspace buffer of `shape` — bitwise
-// identical to src.Reshaped(shape), minus the fresh allocation.
-Tensor PooledCopy(Workspace* ws, const Tensor& src,
-                  const std::vector<int64_t>& shape) {
-  Tensor out = ws->Take(shape);
-  std::copy(src.data(), src.data() + src.size(), out.data());
-  return out;
-}
-
-}  // namespace
 
 Reshape::Reshape(std::vector<int64_t> sample_shape)
     : sample_shape_(std::move(sample_shape)),
@@ -33,8 +20,7 @@ Tensor Reshape::Forward(const Tensor& input, bool /*training*/) {
   std::vector<int64_t> out_shape{n};
   out_shape.insert(out_shape.end(), sample_shape_.begin(),
                    sample_shape_.end());
-  if (ws_ == nullptr) return input.Reshaped(std::move(out_shape));
-  return PooledCopy(ws_, input, out_shape);
+  return input.Reshaped(std::move(out_shape));
 }
 
 Tensor Reshape::Infer(const Tensor& input) const {
@@ -50,8 +36,7 @@ Tensor Reshape::Infer(const Tensor& input) const {
 }
 
 Tensor Reshape::Backward(const Tensor& grad_output) {
-  if (ws_ == nullptr) return grad_output.Reshaped(cached_input_shape_);
-  return PooledCopy(ws_, grad_output, cached_input_shape_);
+  return grad_output.Reshaped(cached_input_shape_);
 }
 
 std::string Reshape::name() const {
@@ -64,8 +49,7 @@ Tensor Flatten::Forward(const Tensor& input, bool /*training*/) {
   cached_input_shape_ = input.shape();
   TABLEGAN_CHECK(input.rank() >= 2);
   const int64_t n = input.dim(0);
-  if (ws_ == nullptr) return input.Reshaped({n, input.size() / n});
-  return PooledCopy(ws_, input, {n, input.size() / n});
+  return input.Reshaped({n, input.size() / n});
 }
 
 Tensor Flatten::Infer(const Tensor& input) const {
@@ -75,8 +59,7 @@ Tensor Flatten::Infer(const Tensor& input) const {
 }
 
 Tensor Flatten::Backward(const Tensor& grad_output) {
-  if (ws_ == nullptr) return grad_output.Reshaped(cached_input_shape_);
-  return PooledCopy(ws_, grad_output, cached_input_shape_);
+  return grad_output.Reshaped(cached_input_shape_);
 }
 
 }  // namespace nn

@@ -6,9 +6,7 @@ namespace tablegan {
 namespace nn {
 
 // The first layer consumes the caller's tensor directly (no upfront deep
-// copy); each move-assignment below recycles the previous activation's
-// pooled storage before adopting the next, so a bound Workspace sees
-// every intermediate again on the following step.
+// copy); each move-assignment below frees the previous activation.
 
 Tensor Sequential::Forward(const Tensor& input, bool training) {
   if (layers_.empty()) return input;
@@ -33,11 +31,6 @@ Tensor Sequential::Backward(const Tensor& grad_output) {
     g = layers_[i]->Backward(g);
   }
   return g;
-}
-
-void Sequential::SetWorkspace(Workspace* ws) {
-  Layer::SetWorkspace(ws);
-  for (auto& layer : layers_) layer->SetWorkspace(ws);
 }
 
 std::vector<Tensor*> Sequential::Parameters() {

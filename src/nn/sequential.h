@@ -39,9 +39,6 @@ class Sequential : public Layer {
   Tensor Infer(const Tensor& input) const override;
   Tensor Backward(const Tensor& grad_output) override;
 
-  /// Binds the pool on the container and every child layer.
-  void SetWorkspace(Workspace* ws) override;
-
   std::vector<Tensor*> Parameters() override;
   std::vector<Tensor*> Gradients() override;
   std::vector<Tensor*> Buffers() override;

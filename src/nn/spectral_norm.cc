@@ -51,24 +51,21 @@ float SpectralNormRegularizer::Apply() {
   float penalty = 0.0f;
   for (Item& item : items_) {
     const Tensor& w = *item.w;
-    // Pool-backed scratch: both buffers are fully overwritten by the
-    // beta=0 GEMMs below, and recycle back to the pool when they go out
-    // of scope, so the steady-state step stays allocation-free.
-    Tensor uw = ws_ != nullptr ? ws_->Take({1, w.dim(1)})
-                               : Tensor({1, w.dim(1)});
+    // Safe uninitialized: the beta=0 GEMM below overwrites it.
+    Tensor uw = Tensor::Uninitialized({1, w.dim(1)});
     for (int iter = 0; iter < power_iters_; ++iter) {
       // v <- normalize(u W)    ([1, out] x [out, in])
-      ops::Gemm(false, false, 1.0f, item.u, w, 0.0f, &uw, ws_);
+      ops::Gemm(false, false, 1.0f, item.u, w, 0.0f, &uw);
       item.v = uw;
       NormalizeInPlace(&item.v);
       // u <- normalize(v W^T)  ([1, in] x [in, out]); the pre-scaling
       // norm IS the singular-value estimate: ||W v|| for unit v.
-      ops::Gemm(false, true, 1.0f, item.v, w, 0.0f, &item.u, ws_);
+      ops::Gemm(false, true, 1.0f, item.v, w, 0.0f, &item.u);
       item.sigma = NormalizeInPlace(&item.u);
     }
     // grad += weight * sigma * u^T v  (rank-1 outer product).
     ops::Gemm(true, false, weight_ * item.sigma, item.u, item.v, 1.0f,
-              item.grad, ws_);
+              item.grad);
     penalty += 0.5f * weight_ * item.sigma * item.sigma;
   }
   return penalty;

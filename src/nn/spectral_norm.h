@@ -5,7 +5,6 @@
 
 #include "common/random.h"
 #include "tensor/tensor.h"
-#include "tensor/workspace.h"
 
 namespace tablegan {
 namespace nn {
@@ -26,8 +25,7 @@ namespace nn {
 /// The u/v vectors persist across steps (warm start: one iteration per
 /// step tracks the slowly-moving leading pair) and are checkpoint state:
 /// StateTensors() exposes them in binding order for the v5 training
-/// section. Per-step scratch is drawn from the bound Workspace, keeping
-/// the steady-state update allocation-free.
+/// section.
 class SpectralNormRegularizer {
  public:
   /// Binds every rank-2 tensor of `params` (with its same-index
@@ -36,8 +34,6 @@ class SpectralNormRegularizer {
   SpectralNormRegularizer(const std::vector<Tensor*>& params,
                           const std::vector<Tensor*>& grads, float weight,
                           int power_iters, uint64_t seed);
-
-  void BindWorkspace(Workspace* ws) { ws_ = ws; }
 
   /// Runs `power_iters` iterations per bound weight and accumulates the
   /// penalty gradients. Returns the total penalty value
@@ -65,7 +61,6 @@ class SpectralNormRegularizer {
   std::vector<Item> items_;
   float weight_;
   int power_iters_;
-  Workspace* ws_ = nullptr;
 };
 
 }  // namespace nn

@@ -5,7 +5,6 @@
 #include "common/parallel.h"
 #include "tensor/kernels/kernels.h"
 #include "tensor/tensor_ops.h"
-#include "tensor/workspace.h"
 
 namespace tablegan {
 namespace ops {
@@ -50,7 +49,7 @@ void ParallelGemm(int64_t m, int64_t n, int64_t k, float alpha,
 }  // namespace
 
 void Gemm(bool transpose_a, bool transpose_b, float alpha, const Tensor& a,
-          const Tensor& b, float beta, Tensor* c, Workspace* ws) {
+          const Tensor& b, float beta, Tensor* c) {
   TABLEGAN_CHECK(a.rank() == 2 && b.rank() == 2 && c->rank() == 2);
   const int64_t m = transpose_a ? a.dim(1) : a.dim(0);
   const int64_t k = transpose_a ? a.dim(0) : a.dim(1);
@@ -69,19 +68,15 @@ void Gemm(bool transpose_a, bool transpose_b, float alpha, const Tensor& a,
   if (m == 0 || n == 0 || k == 0) return;
 
   // Materializing the transposed operand keeps the hot kernel contiguous;
-  // the copy is O(m*k) versus the O(m*k*n) multiply. The scratch comes
-  // from the workspace pool when one is supplied (Transpose2DInto writes
-  // every element, so stale pool contents are harmless).
+  // the copy is O(m*k) versus the O(m*k*n) multiply.
   const Tensor* pa = &a;
   const Tensor* pb = &b;
   Tensor at, bt;
   if (transpose_a) {
-    if (ws != nullptr) at = ws->Take({a.dim(1), a.dim(0)});
     Transpose2DInto(a, &at);
     pa = &at;
   }
   if (transpose_b) {
-    if (ws != nullptr) bt = ws->Take({b.dim(1), b.dim(0)});
     Transpose2DInto(b, &bt);
     pb = &bt;
   }

@@ -4,9 +4,6 @@
 #include "tensor/tensor.h"
 
 namespace tablegan {
-
-class Workspace;
-
 namespace ops {
 
 /// C = alpha * op(A) * op(B) + beta * C for row-major rank-2 tensors,
@@ -18,10 +15,9 @@ namespace ops {
 /// pre-sized; with beta == 0 its prior contents are ignored.
 ///
 /// A transposed operand is materialized contiguously before the kernel
-/// runs; passing a Workspace draws that scratch from the pool instead of
-/// allocating (results are identical either way).
+/// runs.
 void Gemm(bool transpose_a, bool transpose_b, float alpha, const Tensor& a,
-          const Tensor& b, float beta, Tensor* c, Workspace* ws = nullptr);
+          const Tensor& b, float beta, Tensor* c);
 
 /// Convenience: returns A * B (no transposes, alpha=1, beta=0).
 Tensor MatMul(const Tensor& a, const Tensor& b);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "tensor/workspace.h"
-
 namespace tablegan {
 
 int64_t ShapeSize(const std::vector<int64_t>& shape) {
@@ -30,16 +28,6 @@ std::string ShapeToString(const std::vector<int64_t>& shape) {
 Tensor::Tensor(std::vector<int64_t> shape)
     : shape_(std::move(shape)),
       data_(static_cast<size_t>(ShapeSize(shape_)), 0.0f) {}
-
-void Tensor::MaybeRecycle() {
-  if (pool_ != nullptr) {
-    Workspace* pool = pool_;
-    pool_ = nullptr;
-    pool->Recycle(std::move(shape_), std::move(data_));
-    shape_.clear();
-    data_.clear();
-  }
-}
 
 Tensor Tensor::Uninitialized(std::vector<int64_t> shape) {
   Tensor t;

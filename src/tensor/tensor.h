@@ -12,8 +12,6 @@
 
 namespace tablegan {
 
-class Workspace;
-
 /// Allocator identical to std::allocator<T> except that value-less
 /// construct() default-initializes, so vector::resize leaves new floats
 /// uninitialized instead of zero-filling. This is the uninitialized-alloc
@@ -44,19 +42,12 @@ class DefaultInitAllocator : public std::allocator<T> {
 /// on; it intentionally supports only what the library needs: shape
 /// manipulation, fills, random init, and raw data access. Heavier
 /// numeric kernels live in tensor_ops.h / matmul.h / im2col.h.
-///
-/// A Tensor may be bound to a Workspace buffer pool (see workspace.h):
-/// pool-issued tensors return their storage to the pool on destruction
-/// and on move-assignment-over, which is what makes the steady-state
-/// training step allocation-free. Copies of a pooled tensor are plain
-/// (unpooled) tensors; copy-assignment *into* any tensor keeps the
-/// destination's binding and reuses its capacity.
 class Tensor {
  public:
   /// Backing storage. The default-init allocator makes resize() skip
   /// zero-filling; Tensor's public constructors still zero-fill to keep
   /// the historical "tensors start at zero" semantics — only
-  /// Uninitialized()/ResizeUninitialized()/Workspace::Take skip it.
+  /// Uninitialized()/ResizeUninitialized() skip it.
   using Storage = std::vector<float, DefaultInitAllocator<float>>;
 
   /// Empty (rank-0, zero elements) tensor.
@@ -66,39 +57,6 @@ class Tensor {
   explicit Tensor(std::vector<int64_t> shape);
   Tensor(std::initializer_list<int64_t> shape)
       : Tensor(std::vector<int64_t>(shape)) {}
-
-  Tensor(const Tensor& other)
-      : shape_(other.shape_), data_(other.data_), pool_(nullptr) {}
-  Tensor& operator=(const Tensor& other) {
-    // Keeps this tensor's pool binding; vector assignment reuses the
-    // existing capacity, so steady-state copies do not allocate.
-    if (this != &other) {
-      shape_ = other.shape_;
-      data_ = other.data_;
-    }
-    return *this;
-  }
-  Tensor(Tensor&& other) noexcept
-      : shape_(std::move(other.shape_)),
-        data_(std::move(other.data_)),
-        pool_(other.pool_) {
-    other.shape_.clear();
-    other.data_.clear();
-    other.pool_ = nullptr;
-  }
-  Tensor& operator=(Tensor&& other) noexcept {
-    if (this != &other) {
-      MaybeRecycle();
-      shape_ = std::move(other.shape_);
-      data_ = std::move(other.data_);
-      pool_ = other.pool_;
-      other.shape_.clear();
-      other.data_.clear();
-      other.pool_ = nullptr;
-    }
-    return *this;
-  }
-  ~Tensor() { MaybeRecycle(); }
 
   /// Factory helpers -------------------------------------------------
   static Tensor Zeros(std::vector<int64_t> shape) {
@@ -170,19 +128,8 @@ class Tensor {
   std::string DebugString() const;
 
  private:
-  friend class Workspace;
-
-  /// Pool-issued tensor (Workspace::Take).
-  Tensor(std::vector<int64_t> shape, Storage storage, Workspace* pool)
-      : shape_(std::move(shape)), data_(std::move(storage)), pool_(pool) {}
-
-  void MaybeRecycle();
-
   std::vector<int64_t> shape_;
   Storage data_;
-  /// Non-owning back-pointer of a pool-issued tensor; the pool must
-  /// outlive the tensor. Null for ordinary tensors.
-  Workspace* pool_ = nullptr;
 };
 
 /// Number of elements implied by `shape`; checks non-negative dims.

@@ -367,6 +367,58 @@ TEST(ResumeValidationTest, MismatchedStabilityOptionsAreRejected) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ResumeValidationTest, MismatchedHeaderSectionsAreRejected) {
+  // Resume compares the encoded model headers byte for byte; each case
+  // changes one header section the other cases leave alone.
+  data::Table table = SmallTable(64, 71);
+  const int label_col =
+      table.schema().ColumnsWithRole(data::ColumnRole::kLabel)[0];
+  const int other_label = *table.schema().FindColumn("income_over_50k");
+  const int continuous = *table.schema().FindColumn("capital_gain");
+  const std::string dir = TempPath("resume_header_mismatch");
+  TableGanOptions options = FastOptions();
+  options.epochs = 2;
+  options.checkpoint_every = 2;
+  options.checkpoint_dir = dir;
+  {
+    TableGan gan(options);
+    ASSERT_TRUE(gan.Fit(table, label_col).ok());
+  }
+  const auto resume = [&](TableGanOptions o, int label) {
+    o.checkpoint_every = 0;
+    o.checkpoint_dir.clear();
+    o.resume_from = dir + "/latest.tgan";
+    TableGan g(o);
+    return g.Fit(table, label);
+  };
+  // Control: the unchanged run resumes.
+  ASSERT_TRUE(resume(options, label_col).ok());
+
+  TableGanOptions conditional = options;
+  conditional.conditional = true;
+  TableGanOptions gmm = options;
+  gmm.gmm_columns = {continuous};
+  TableGanOptions channels = options;
+  channels.base_channels = 4;
+  const struct {
+    const char* what;
+    TableGanOptions options;
+    int label;
+  } cases[] = {
+      {"conditional flipped", conditional, label_col},
+      {"gmm_columns changed", gmm, label_col},
+      {"different label column", options, other_label},
+      {"base_channels changed", channels, label_col},
+  };
+  for (const auto& c : cases) {
+    Status status = resume(c.options, c.label);
+    ASSERT_FALSE(status.ok()) << c.what;
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << c.what << ": " << status.ToString();
+  }
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ResumeValidationTest, CheckpointLoadsAsAModel) {
   data::Table table = SmallTable(64, 41);
   const int label_col =

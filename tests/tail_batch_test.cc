@@ -33,13 +33,14 @@ data::Table MakeRows(int64_t n) {
   return t;
 }
 
-// Trains one epoch with batch_size 16 on `n` rows and returns the
-// examples count the metrics callback reported.
-int64_t TrainedExamples(int64_t n) {
+// Trains `epochs` epochs with batch_size 16 on `n` rows and returns the
+// examples count the metrics callback reported, which must be the same
+// for every epoch.
+int64_t TrainedExamples(int64_t n, int epochs = 1) {
   core::TableGanOptions opt;
   opt.latent_dim = 4;
   opt.base_channels = 4;
-  opt.epochs = 1;
+  opt.epochs = epochs;
   opt.batch_size = 16;
   opt.num_threads = 1;
   std::vector<TrainingMetrics> seen;
@@ -48,10 +49,13 @@ int64_t TrainedExamples(int64_t n) {
   };
   core::TableGan gan(opt);
   EXPECT_TRUE(gan.Fit(MakeRows(n), 1).ok()) << "n = " << n;
-  EXPECT_EQ(seen.size(), 1u) << "n = " << n;
+  EXPECT_EQ(seen.size(), static_cast<size_t>(epochs)) << "n = " << n;
   if (seen.empty()) return -1;
-  EXPECT_EQ(seen[0].epoch, 1);
-  EXPECT_EQ(seen[0].total_epochs, 1);
+  for (size_t e = 0; e < seen.size(); ++e) {
+    EXPECT_EQ(seen[e].epoch, static_cast<int64_t>(e) + 1);
+    EXPECT_EQ(seen[e].total_epochs, epochs);
+    EXPECT_EQ(seen[e].examples, seen[0].examples) << "epoch " << e + 1;
+  }
   return seen[0].examples;
 }
 
@@ -64,6 +68,11 @@ TEST(TailBatchTest, OneRowTailIsSkipped) {
 TEST(TailBatchTest, TwoRowTailIsTrained) {
   // 34 = 16 + 16 + 2: a two-row tail is a valid batch.
   EXPECT_EQ(TrainedExamples(34), 34);
+}
+
+TEST(TailBatchTest, TailIsTrainedInEveryEpoch) {
+  // 70 = 4 * 16 + 6: the tail trains again after the reshuffle.
+  EXPECT_EQ(TrainedExamples(70, /*epochs=*/2), 70);
 }
 
 TEST(TailBatchTest, ExactMultipleTrainsEverything) {

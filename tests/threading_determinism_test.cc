@@ -1,10 +1,15 @@
 // End-to-end determinism across thread counts: the same seed must produce
-// identical training histories and identical sampled tables whether the
-// tensor substrate runs on 1 thread or 4. This is the system-level check
-// of the bitwise-reproducibility contract in common/parallel.h.
+// identical training histories, byte-identical saved models and identical
+// sampled tables whether the tensor substrate runs on 1 thread or 4. This
+// is the system-level check of the bitwise-reproducibility contract in
+// common/parallel.h.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/parallel.h"
@@ -27,8 +32,22 @@ core::TableGanOptions SmallOptions() {
 
 struct RunResult {
   std::vector<core::EpochStats> history;
+  std::string model_bytes;
   data::Table samples;
 };
+
+// The bytes Save writes: weights, BatchNorm running statistics and the
+// sampling-stream counters.
+std::string SavedModelBytes(const core::TableGan& gan, int num_threads) {
+  const std::string path = ::testing::TempDir() + "/threads_" +
+                           std::to_string(num_threads) + ".tgan";
+  EXPECT_TRUE(gan.Save(path).ok());
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  std::remove(path.c_str());
+  return bytes.str();
+}
 
 RunResult TrainAndSample(const data::Table& table, int label_col,
                          int num_threads) {
@@ -36,9 +55,11 @@ RunResult TrainAndSample(const data::Table& table, int label_col,
   options.num_threads = num_threads;
   core::TableGan gan(options);
   EXPECT_TRUE(gan.Fit(table, label_col).ok());
+  std::string model_bytes = SavedModelBytes(gan, num_threads);
   Result<data::Table> samples = gan.Sample(64);
   EXPECT_TRUE(samples.ok());
-  return RunResult{gan.history(), std::move(samples).value()};
+  return RunResult{gan.history(), std::move(model_bytes),
+                   std::move(samples).value()};
 }
 
 TEST(ThreadingDeterminismTest, FitAndSampleAreIdenticalAcrossThreadCounts) {
@@ -61,6 +82,9 @@ TEST(ThreadingDeterminismTest, FitAndSampleAreIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial.history[e].l_mean, threaded.history[e].l_mean);
     EXPECT_EQ(serial.history[e].l_sd, threaded.history[e].l_sd);
   }
+  EXPECT_FALSE(serial.model_bytes.empty());
+  EXPECT_TRUE(serial.model_bytes == threaded.model_bytes)
+      << "saved models differ between 1 and 4 threads";
 
   ASSERT_EQ(serial.samples.num_rows(), threaded.samples.num_rows());
   ASSERT_EQ(serial.samples.num_columns(), threaded.samples.num_columns());

@@ -20,7 +20,6 @@ asan_tests=(
   serialization_test
   checkpoint_resume_test
   checkpoint_golden_test
-  workspace_reuse_test
   failpoint_test
   property_fuzz_test
   loss_mode_test

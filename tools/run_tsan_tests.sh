@@ -19,7 +19,6 @@ tsan_tests=(
   nn_test
   nn_gradcheck_test
   nn_misc_test
-  workspace_reuse_test
   loss_mode_test
   conv_sweep_test
   parallel_eval_test
