@@ -15,29 +15,23 @@ namespace kernels {
 /// any thread count follows from the existing row-partition argument.
 ///
 /// Determinism contract (DESIGN.md §12):
-///  - "scalar" is the golden reference: the pre-dispatch kernel source,
-///    compiled with the project's default flags. Those flags let the
-///    compiler contract mul+add chains into FMAs, so its exact bits are
-///    a property of (source, compiler, flags) — pinned end-to-end by the
-///    KernelGoldenTest CRCs — not of portable float semantics.
-///  - "avx2" (TABLEGAN_FMA unset) is written with explicit intrinsics
-///    and compiled with -ffp-contract=off, vectorizing across
-///    *independent outputs* (GEMM output columns, elementwise lanes) in
-///    the scalar per-element accumulation order. Its contract is
-///    portable strict IEEE semantics: bitwise identical to the
-///    reference loops compiled without contraction (one rounding per
-///    multiply and per add), which the parity suite checks against its
-///    own -ffp-contract=off copy of the reference kernels. The one
-///    reassociating exception is the NCHW BatchNorm reductions (moments
-///    and backward sums), which use a fixed 8-lane split of the spatial
-///    axis folded in lane order — deterministic per-ISA, but a
-///    different rounding order.
-///  - "scalar" vs "avx2" therefore differ only by FP contraction and
-///    lane folds: each output is within a small accumulation-scaled
-///    multiple of FLT_EPSILON of the exact (double) result in both.
-///    Where no contraction is possible — data movement (im2col/col2im),
-///    comparisons (relu/leaky_relu), libm forwards, sigmoid_bwd — they
-///    are bitwise identical.
+///  - Every TU is built without implicit FP contraction (a build rule
+///    in src/common), so a*b + c rounds twice unless the source writes
+///    an fma, and the bits are a function of source, backend and libm.
+///  - "scalar" is the golden reference: the pre-dispatch kernel source
+///    with portable strict IEEE semantics (one rounding per multiply and
+///    per add). KernelGoldenTest pins its end-to-end train + Sample
+///    CRCs.
+///  - "avx2" (TABLEGAN_FMA unset) is written with explicit intrinsics,
+///    vectorizing across *independent outputs* (GEMM output columns,
+///    elementwise lanes) in the scalar per-element accumulation order,
+///    so it is bitwise identical to "scalar", which the parity suite
+///    checks. The one reassociating exception is the NCHW BatchNorm
+///    reductions (moments and backward sums), which use a fixed 8-lane
+///    split of the spatial axis folded in lane order — deterministic
+///    per-ISA, but a different rounding order, held to a small
+///    accumulation-scaled multiple of FLT_EPSILON of the exact (double)
+///    result.
 ///  - "avx2fma" (TABLEGAN_FMA=1) additionally fuses multiply-adds via
 ///    explicit FMA intrinsics (one rounding instead of two); it holds
 ///    the same double-precision bound and is gated off by default.

@@ -1,13 +1,10 @@
-// AVX2/FMA backend. Compiled with -mavx2 -mfma -ffp-contract=off (see
-// src/tensor/CMakeLists.txt): contraction is off so the only FMAs are
-// the explicit _mm256_fmadd_ps (and std::fma in the scalar column
-// tails) of the kFma=true instantiation, giving
-// the kFma=false variant portable strict IEEE semantics — one rounding
-// per multiply and per add. (The production scalar backend is compiled
-// with contraction *on*, so the kFma=false variant matches the
-// *non-contracted* reference loops bitwise — which the parity suite
-// compiles itself — and the scalar backend to a documented bound; see
-// the contract in kernels.h.)
+// AVX2/FMA backend. Compiled with -mavx2 -mfma (see
+// src/tensor/CMakeLists.txt) and, like every TU, without implicit FP
+// contraction, so the only FMAs are the explicit _mm256_fmadd_ps (and
+// std::fma in the scalar column tails) of the kFma=true instantiation.
+// That gives the kFma=false variant portable strict IEEE semantics — one
+// rounding per multiply and per add — and it matches the scalar backend
+// bitwise; see the contract in kernels.h.
 //
 // Exactness strategy (DESIGN.md §12): vectorize across *independent
 // outputs* — GEMM output columns, elementwise lanes, NF channels — so

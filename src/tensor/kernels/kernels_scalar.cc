@@ -2,8 +2,8 @@
 // the pre-dispatch kernels from tensor/matmul.cc and tensor/im2col.cc,
 // and the BatchNorm/activation loops reproduce the per-element float
 // expressions from nn/batch_norm.cc and nn/activations.cc — moved, not
-// rewritten, so the scalar backend is bit-for-bit the code every golden
-// checkpoint and determinism test was recorded against.
+// rewritten. Built without implicit FP contraction like every TU, it is
+// the strict reference the AVX2 backend is held to bit for bit.
 
 #include <algorithm>
 #include <cmath>

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -262,6 +263,23 @@ TEST(ParallelTest, NestedCallsRunInlineWithoutDeadlock) {
   EXPECT_EQ(inner.load(), 32);
   EXPECT_TRUE(saw_region.load());
   EXPECT_FALSE(InParallelRegion());
+}
+
+// ------------------------------------------------------------------
+// Build rule: no implicit FP contraction. Every target inherits
+// -ffp-contract=off from tablegan_common, so the compiler may not fuse
+// a*b + c into one multiply-add and the bits are a property of the
+// source. Here x*x = 1 + 2^-11 + 2^-24 rounds to 1 + 2^-11 on its own
+// (a tie to even), so the sum is 0 with two roundings and 2^-24 fused.
+
+TEST(FpContractTest, MultiplyAddRoundsTwice) {
+  volatile float vx = 1.0f + 0x1p-12f;
+  volatile float vz = -(1.0f + 0x1p-11f);
+  const float x = vx;
+  const float z = vz;
+  const float got = x * x + z;
+  EXPECT_EQ(got, 0.0f) << "a*b + c was fused (std::fma gives "
+                       << std::fma(x, x, z) << ")";
 }
 
 // ------------------------------------------------------------------

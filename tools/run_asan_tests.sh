@@ -41,9 +41,5 @@ cmake --build "${build_dir}" -j "$(nproc)" --target "${asan_tests[@]}"
 filter="$(IFS='|'; echo "${asan_tests[*]}")"
 # Fail on any leak or error; abort_on_error gives a backtrace at the
 # first report instead of carrying on.
-# The kernel-golden CRCs pin the default -O3 codegen of the scalar
-# backend; a sanitizer build compiles it differently, so only the
-# backend-parity half of kernel_parity_test is meaningful here.
 ASAN_OPTIONS="${ASAN_OPTIONS:-abort_on_error=1:detect_leaks=1}" \
-TABLEGAN_SKIP_KERNEL_GOLDEN=1 \
   ctest --test-dir "${build_dir}" --output-on-failure -R "^(${filter})$"

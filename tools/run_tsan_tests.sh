@@ -39,9 +39,5 @@ cmake --build "${build_dir}" -j "$(nproc)" --target "${tsan_tests[@]}"
 
 filter="$(IFS='|'; echo "${tsan_tests[*]}")"
 # halt_on_error makes a race fail the test run instead of just logging.
-# The kernel-golden CRCs pin the default -O3 codegen of the scalar
-# backend; a sanitizer build compiles it differently, so only the
-# backend-parity half of kernel_parity_test is meaningful here.
 TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-TABLEGAN_SKIP_KERNEL_GOLDEN=1 \
   ctest --test-dir "${build_dir}" --output-on-failure -R "^(${filter})$"

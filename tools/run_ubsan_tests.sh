@@ -40,10 +40,6 @@ cmake -B "${build_dir}" -S "${repo_root}" \
 cmake --build "${build_dir}" -j "$(nproc)" --target "${ubsan_tests[@]}"
 
 filter="$(IFS='|'; echo "${ubsan_tests[*]}")"
-# print_stacktrace gives symbolized reports. The kernel-golden CRCs pin
-# the default -O3 codegen of the scalar backend; a sanitizer build
-# compiles it differently, so only the backend-parity half of
-# kernel_parity_test is meaningful here.
+# print_stacktrace gives symbolized reports.
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}" \
-TABLEGAN_SKIP_KERNEL_GOLDEN=1 \
   ctest --test-dir "${build_dir}" --output-on-failure -R "^(${filter})$"
