@@ -3,6 +3,8 @@
 // throughput, table encoding, and DCR search. These back the Table 4
 // discussion (where the paper's GPU minutes become CPU seconds).
 
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "common/parallel.h"
@@ -71,6 +73,56 @@ void BM_GemmBackend(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmBackend)
     ->ArgsProduct({{0, 1, 2}, {64, 128, 256}})
+    ->UseRealTime();
+
+// gemm_nn at the model-compatibility MLP's shapes whose A is a
+// ReLU-masked gradient (batch 64; 13 features; hidden layers {64},
+// {32, 16} or {64, 32}; a 1-unit head). Args: backend, m, n, k, percent
+// of exact zeros in A. In the release-audit grid those A operands were
+// measured at 48-57% zeros at random positions, which is what stresses
+// the zero-skip; 0 is the dense control. n = 13 also exercises the 8-wide
+// body plus a 5-column tail. The product cycles through several draws of
+// A, so the branch predictor cannot learn one zero pattern (training sees
+// a fresh one every step).
+void BM_GemmSparseABackend(benchmark::State& state) {
+  const kernels::Backend* backend =
+      BenchBackend(static_cast<int>(state.range(0)));
+  if (backend == nullptr) {
+    state.SkipWithError("AVX2 backend unavailable on this host");
+    return;
+  }
+  const int64_t m = state.range(1), n = state.range(2), k = state.range(3);
+  const double zero_frac = static_cast<double>(state.range(4)) / 100.0;
+  Rng rng(4);
+  std::vector<Tensor> as;
+  for (int v = 0; v < 16; ++v) {
+    Tensor a = Tensor::Uniform({m, k}, -1, 1, &rng);
+    for (int64_t i = 0; i < a.size(); ++i) {
+      if (rng.NextBool(zero_frac)) a[i] = 0.0f;
+    }
+    as.push_back(std::move(a));
+  }
+  Tensor b = Tensor::Uniform({k, n}, -1, 1, &rng);
+  Tensor c({m, n});
+  BackendScope scope(backend);
+  SetNumThreads(1);
+  size_t v = 0;
+  for (auto _ : state) {
+    ops::Gemm(false, false, 1.0f, as[v], b, 0.0f, &c);
+    v = (v + 1) % as.size();
+    benchmark::DoNotOptimize(c.data());
+    benchmark::ClobberMemory();
+  }
+  SetNumThreads(0);
+  state.SetItemsProcessed(state.iterations() * 2 * m * n * k);
+  state.SetLabel(backend->name);
+}
+BENCHMARK(BM_GemmSparseABackend)
+    ->ArgsProduct({{0, 1, 2}, {64}, {13}, {64}, {0, 50}})
+    ->ArgsProduct({{0, 1, 2}, {64}, {64}, {32}, {0, 50}})
+    ->ArgsProduct({{0, 1, 2}, {64}, {32}, {16}, {0, 50}})
+    ->ArgsProduct({{0, 1, 2}, {64}, {16}, {32}, {0, 50}})
+    ->ArgsProduct({{0, 1, 2}, {64}, {1}, {64}, {0, 50}})
     ->UseRealTime();
 
 void BM_GemmNtBackend(benchmark::State& state) {

@@ -15,13 +15,17 @@ Status AdaBoostClassifier::Fit(const MlData& data) {
   alphas_.clear();
   std::vector<double> weights(static_cast<size_t>(n),
                               1.0 / static_cast<double>(n));
+  // Every stage examines all features at the root of the same x, so the
+  // root's sort orders are computed once and shared by every stage.
+  const internal_tree::RootOrders root_orders =
+      internal_tree::ComputeRootOrders(data);
   Rng rng(options_.seed);
   for (int t = 0; t < options_.num_estimators; ++t) {
     TreeOptions topt;
     topt.max_depth = options_.base_max_depth;
     topt.seed = rng.NextUint64();
     DecisionTreeClassifier stump(topt);
-    TABLEGAN_RETURN_NOT_OK(stump.FitWeighted(data, weights));
+    TABLEGAN_RETURN_NOT_OK(stump.FitWeighted(data, weights, &root_orders));
 
     double err = 0.0;
     std::vector<int> preds(static_cast<size_t>(n));

@@ -11,11 +11,24 @@ namespace ml {
 namespace internal_tree {
 namespace {
 
+// Sorts `rows` by feature f from their current order. std::sort's
+// permutation depends only on its comparison outcomes, which are those
+// of comparing x[i][f] directly, so the order (ties included) is the
+// same as sorting bare indices by that key.
+void SortByFeature(const MlData& data, int f, std::vector<KeyIndex>* rows) {
+  for (KeyIndex& r : *rows) {
+    r.key = data.x[static_cast<size_t>(r.index)][static_cast<size_t>(f)];
+  }
+  std::sort(rows->begin(), rows->end(),
+            [](const KeyIndex& a, const KeyIndex& b) { return a.key < b.key; });
+}
+
 struct Builder {
   const MlData& data;
   const std::vector<double>* weights;  // nullptr = uniform
   const TreeOptions& options;
   bool classification;
+  const RootOrders* root_orders;  // nullptr = sort at the root too
   Rng rng;
 
   double Weight(int64_t i) const {
@@ -52,7 +65,44 @@ struct Builder {
     double gain = 0.0;
   };
 
-  Split FindBestSplit(const std::vector<int64_t>& idx) {
+  // Scans one feature's sorted rows for the best boundary, updating
+  // `best`. (wsum, ysum, y2sum) are the node's totals.
+  void ScanFeature(const std::vector<KeyIndex>& sorted, int f, double wsum,
+                   double ysum, double y2sum, double parent, Split* best) {
+    double lw = 0.0, ly = 0.0, ly2 = 0.0;
+    int64_t left_count = 0;
+    for (size_t k = 0; k + 1 < sorted.size(); ++k) {
+      const int64_t i = sorted[k].index;
+      const double w = Weight(i);
+      const double y = data.y[static_cast<size_t>(i)];
+      lw += w;
+      ly += w * y;
+      ly2 += w * y * y;
+      ++left_count;
+      const double xv = sorted[k].key;
+      const double xn = sorted[k + 1].key;
+      if (xv == xn) continue;  // no boundary between equal values
+      const int64_t right_count =
+          static_cast<int64_t>(sorted.size()) - left_count;
+      if (left_count < options.min_samples_leaf ||
+          right_count < options.min_samples_leaf) {
+        continue;
+      }
+      const double rw = wsum - lw, ry = ysum - ly, ry2 = y2sum - ly2;
+      const double child =
+          (lw * Impurity(lw, ly, ly2, classification) +
+           rw * Impurity(rw, ry, ry2, classification)) /
+          wsum;
+      const double gain = parent - child;
+      if (gain > best->gain + 1e-12) {
+        best->feature = f;
+        best->threshold = 0.5 * (xv + xn);
+        best->gain = gain;
+      }
+    }
+  }
+
+  Split FindBestSplit(const std::vector<int64_t>& idx, bool root) {
     const int num_features = data.num_features();
     std::vector<int> features(static_cast<size_t>(num_features));
     std::iota(features.begin(), features.end(), 0);
@@ -73,46 +123,20 @@ struct Builder {
     const double parent = Impurity(wsum, ysum, y2sum, classification);
 
     Split best;
-    std::vector<int64_t> sorted = idx;
+    if (root && root_orders != nullptr) {
+      for (int f = 0; f < num_features; ++f) {
+        ScanFeature(root_orders->by_feature[static_cast<size_t>(f)], f, wsum,
+                    ysum, y2sum, parent, &best);
+      }
+      return best;
+    }
+    // Each feature's sort starts from the previous feature's order.
+    std::vector<KeyIndex> sorted(idx.size());
+    for (size_t k = 0; k < idx.size(); ++k) sorted[k].index = idx[k];
     for (int fi = 0; fi < to_try; ++fi) {
       const int f = features[static_cast<size_t>(fi)];
-      std::sort(sorted.begin(), sorted.end(), [&](int64_t a, int64_t b) {
-        return data.x[static_cast<size_t>(a)][static_cast<size_t>(f)] <
-               data.x[static_cast<size_t>(b)][static_cast<size_t>(f)];
-      });
-      double lw = 0.0, ly = 0.0, ly2 = 0.0;
-      int64_t left_count = 0;
-      for (size_t k = 0; k + 1 < sorted.size(); ++k) {
-        const int64_t i = sorted[k];
-        const double w = Weight(i);
-        const double y = data.y[static_cast<size_t>(i)];
-        lw += w;
-        ly += w * y;
-        ly2 += w * y * y;
-        ++left_count;
-        const double xv =
-            data.x[static_cast<size_t>(i)][static_cast<size_t>(f)];
-        const double xn =
-            data.x[static_cast<size_t>(sorted[k + 1])][static_cast<size_t>(f)];
-        if (xv == xn) continue;  // no boundary between equal values
-        const int64_t right_count =
-            static_cast<int64_t>(sorted.size()) - left_count;
-        if (left_count < options.min_samples_leaf ||
-            right_count < options.min_samples_leaf) {
-          continue;
-        }
-        const double rw = wsum - lw, ry = ysum - ly, ry2 = y2sum - ly2;
-        const double child =
-            (lw * Impurity(lw, ly, ly2, classification) +
-             rw * Impurity(rw, ry, ry2, classification)) /
-            wsum;
-        const double gain = parent - child;
-        if (gain > best.gain + 1e-12) {
-          best.feature = f;
-          best.threshold = 0.5 * (xv + xn);
-          best.gain = gain;
-        }
-      }
+      SortByFeature(data, f, &sorted);
+      ScanFeature(sorted, f, wsum, ysum, y2sum, parent, &best);
     }
     return best;
   }
@@ -125,7 +149,7 @@ struct Builder {
         static_cast<int>(idx.size()) < options.min_samples_split;
     if (too_deep || too_small) return node;
 
-    Split split = FindBestSplit(idx);
+    Split split = FindBestSplit(idx, depth == 0);
     if (split.feature < 0) return node;
 
     std::vector<int64_t> left_idx, right_idx;
@@ -149,12 +173,38 @@ struct Builder {
 
 }  // namespace
 
+RootOrders ComputeRootOrders(const MlData& data) {
+  RootOrders orders;
+  std::vector<KeyIndex> rows(static_cast<size_t>(data.num_rows()));
+  for (size_t k = 0; k < rows.size(); ++k) {
+    rows[k].index = static_cast<int64_t>(k);
+  }
+  for (int f = 0; f < data.num_features(); ++f) {
+    SortByFeature(data, f, &rows);
+    orders.by_feature.push_back(rows);
+  }
+  return orders;
+}
+
 std::unique_ptr<Node> BuildTree(const MlData& data,
                                 const std::vector<double>* weights,
                                 const TreeOptions& options,
-                                bool classification) {
+                                bool classification,
+                                const RootOrders* root_orders) {
   TABLEGAN_CHECK(data.num_rows() > 0) << "empty training data";
-  Builder builder{data, weights, options, classification, Rng(options.seed)};
+  if (root_orders != nullptr) {
+    TABLEGAN_CHECK(options.max_features == 0 ||
+                   options.max_features >= data.num_features())
+        << "root orders need every feature examined at the root";
+    TABLEGAN_CHECK(root_orders->by_feature.size() ==
+                       static_cast<size_t>(data.num_features()) &&
+                   (root_orders->by_feature.empty() ||
+                    root_orders->by_feature[0].size() ==
+                        static_cast<size_t>(data.num_rows())))
+        << "root orders from another table";
+  }
+  Builder builder{data,           weights,    options,
+                  classification, root_orders, Rng(options.seed)};
   std::vector<int64_t> idx(static_cast<size_t>(data.num_rows()));
   std::iota(idx.begin(), idx.end(), int64_t{0});
   return builder.Build(std::move(idx), 0);
@@ -179,13 +229,15 @@ Status DecisionTreeClassifier::Fit(const MlData& data) {
   return Status::OK();
 }
 
-Status DecisionTreeClassifier::FitWeighted(const MlData& data,
-                                           const std::vector<double>& weights) {
+Status DecisionTreeClassifier::FitWeighted(
+    const MlData& data, const std::vector<double>& weights,
+    const internal_tree::RootOrders* root_orders) {
   if (data.num_rows() == 0 ||
       weights.size() != static_cast<size_t>(data.num_rows())) {
     return Status::InvalidArgument("bad weighted fit inputs");
   }
-  root_ = internal_tree::BuildTree(data, &weights, options_, true);
+  root_ = internal_tree::BuildTree(data, &weights, options_, true,
+                                   root_orders);
   return Status::OK();
 }
 

@@ -32,13 +32,36 @@ struct Node {
   std::unique_ptr<Node> left, right;
 };
 
+/// A row index with its value of the feature being sorted on; split
+/// search sorts these contiguous pairs instead of chasing the per-row
+/// vectors of MlData::x.
+struct KeyIndex {
+  double key;
+  int64_t index;
+};
+
+/// The root split's per-feature scan orders: by_feature[f] holds every
+/// row sorted by feature f, each sort starting from the previous
+/// feature's order exactly as the root split search does. They depend
+/// only on x, so an ensemble that fits many trees on one table
+/// (AdaBoost) computes them once. They are valid for trees that examine
+/// every feature at the root (max_features 0 or >= the feature count).
+struct RootOrders {
+  std::vector<std::vector<KeyIndex>> by_feature;
+};
+
+RootOrders ComputeRootOrders(const MlData& data);
+
 /// Shared CART builder. `classification` selects Gini impurity with
 /// probability leaves; otherwise variance reduction with mean leaves.
 /// `weights` supports AdaBoost; pass nullptr for uniform weights.
+/// `root_orders`, when given, must come from ComputeRootOrders(data) and
+/// replaces the root's sorts with the same orders.
 std::unique_ptr<Node> BuildTree(const MlData& data,
                                 const std::vector<double>* weights,
                                 const TreeOptions& options,
-                                bool classification);
+                                bool classification,
+                                const RootOrders* root_orders = nullptr);
 
 double Evaluate(const Node* node, const std::vector<double>& x);
 
@@ -52,8 +75,9 @@ class DecisionTreeClassifier : public Classifier {
       : options_(options) {}
 
   Status Fit(const MlData& data) override;
-  /// Weighted fit, used by AdaBoost.
-  Status FitWeighted(const MlData& data, const std::vector<double>& weights);
+  /// Weighted fit, used by AdaBoost; `root_orders` as in BuildTree.
+  Status FitWeighted(const MlData& data, const std::vector<double>& weights,
+                     const internal_tree::RootOrders* root_orders = nullptr);
   double PredictProba(const std::vector<double>& x) const override;
 
  private:

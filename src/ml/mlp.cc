@@ -63,17 +63,33 @@ Status MlpClassifier::Fit(const MlData& data) {
 }
 
 double MlpClassifier::PredictProba(const std::vector<double>& x) const {
+  MlData one;
+  one.x.push_back(x);
+  return PredictProbaAll(one)[0];
+}
+
+// Infer is const and writes no layer state, so threads may predict on one
+// model at once. GEMM rows are computed independently, so a row's
+// probability has the same bits in a batch of any size.
+std::vector<double> MlpClassifier::PredictProbaAll(const MlData& data) const {
   TABLEGAN_CHECK(net_ != nullptr) << "predict before fit";
-  const std::vector<double> scaled = scaler_.Transform(x);
-  Tensor xb({1, static_cast<int64_t>(scaled.size())});
-  for (size_t j = 0; j < scaled.size(); ++j) {
-    xb[static_cast<int64_t>(j)] = static_cast<float>(scaled[j]);
+  if (data.x.empty()) return {};
+  const auto f = static_cast<int64_t>(data.x[0].size());
+  Tensor xb({static_cast<int64_t>(data.x.size()), f});
+  for (size_t i = 0; i < data.x.size(); ++i) {
+    const std::vector<double> scaled = scaler_.Transform(data.x[i]);
+    for (int64_t j = 0; j < f; ++j) {
+      xb.at2(static_cast<int64_t>(i), j) =
+          static_cast<float>(scaled[static_cast<size_t>(j)]);
+    }
   }
-  // Sequential caches activations per Forward; cast away const is avoided
-  // by requiring a mutable net. Predictions re-run Forward in inference
-  // mode.
-  Tensor logits = net_->Forward(xb, /*training=*/false);
-  return 1.0 / (1.0 + std::exp(-static_cast<double>(logits[0])));
+  const Tensor logits = net_->Infer(xb);
+  std::vector<double> out(static_cast<size_t>(logits.size()));
+  for (int64_t i = 0; i < logits.size(); ++i) {
+    out[static_cast<size_t>(i)] =
+        1.0 / (1.0 + std::exp(-static_cast<double>(logits[i])));
+  }
+  return out;
 }
 
 }  // namespace ml

@@ -28,6 +28,9 @@ class MlpClassifier : public Classifier {
 
   Status Fit(const MlData& data) override;
   double PredictProba(const std::vector<double>& x) const override;
+  /// One batched, const Sequential::Infer over all rows, safe to call
+  /// from several threads; PredictProba is its one-row case.
+  std::vector<double> PredictProbaAll(const MlData& data) const override;
 
  private:
   MlpOptions options_;

@@ -19,21 +19,24 @@ class Classifier {
   /// P(y = 1 | x).
   virtual double PredictProba(const std::vector<double>& x) const = 0;
 
-  virtual int Predict(const std::vector<double>& x) const {
-    return PredictProba(x) >= 0.5 ? 1 : 0;
-  }
-
-  std::vector<int> PredictAll(const MlData& data) const {
-    std::vector<int> out;
-    out.reserve(data.x.size());
-    for (const auto& row : data.x) out.push_back(Predict(row));
-    return out;
-  }
-
-  std::vector<double> PredictProbaAll(const MlData& data) const {
+  /// PredictProba of every row. A model may override it with a batched
+  /// path, which must return the same bits as the per-row calls.
+  virtual std::vector<double> PredictProbaAll(const MlData& data) const {
     std::vector<double> out;
     out.reserve(data.x.size());
     for (const auto& row : data.x) out.push_back(PredictProba(row));
+    return out;
+  }
+
+  int Predict(const std::vector<double>& x) const {
+    return PredictProba(x) >= 0.5 ? 1 : 0;
+  }
+
+  /// Predict of every row, through PredictProbaAll.
+  std::vector<int> PredictAll(const MlData& data) const {
+    std::vector<int> out;
+    out.reserve(data.x.size());
+    for (double p : PredictProbaAll(data)) out.push_back(p >= 0.5 ? 1 : 0);
     return out;
   }
 };

@@ -44,6 +44,10 @@ struct Backend {
   /// C[m,n] += alpha * A[m,k] * B[k,n] (row-major, serial block kernel).
   /// Terms with alpha * a[i,kk] == 0 are skipped, exactly as the scalar
   /// reference does (the skip is observable with inf/NaN/-0 operands).
+  /// The SIMD backends skip without a branch: A is often a ReLU-masked
+  /// gradient with zeros at random positions, where a branch per term
+  /// mispredicts often. They blend the accumulator back instead, with the
+  /// same bits.
   void (*gemm_nn)(int64_t m, int64_t n, int64_t k, float alpha,
                   const float* a, const float* b, float* c);
   /// C[m,n] (+)= A[m,k] * B[n,k]^T. Overwrites C unless `accumulate`.

@@ -1,7 +1,7 @@
 // AVX2/FMA backend. Compiled with -mavx2 -mfma (see
 // src/tensor/CMakeLists.txt) and, like every TU, without implicit FP
 // contraction, so the only FMAs are the explicit _mm256_fmadd_ps (and
-// std::fma in the scalar column tails) of the kFma=true instantiation.
+// std::fma in the NT scalar column tail) of the kFma=true instantiation.
 // That gives the kFma=false variant portable strict IEEE semantics — one
 // rounding per multiply and per add — and it matches the scalar backend
 // bitwise; see the contract in kernels.h.
@@ -27,6 +27,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <type_traits>
 
 #include "tensor/kernels/blocking.h"
 
@@ -48,9 +49,9 @@ inline __m256 MulAdd(__m256 a, __m256 b, __m256 c) {
   }
 }
 
-// Scalar twin for the GEMM column tails: the same per-element operation
-// as the vector body (one fused rounding when kFma, else mul then add),
-// so an element's bits do not depend on whether its column lands in the
+// Scalar twin for the NT column tail: the same per-element operation as
+// the vector body (one fused rounding when kFma, else mul then add), so
+// an element's bits do not depend on whether its column lands in the
 // body or in the tail.
 template <bool kFma>
 inline float MulAdd(float a, float b, float c) {
@@ -72,94 +73,172 @@ inline float LaneSum(__m256 v) {
 }
 
 // ---------------------------------------------------------------------
-// GEMM NN: C[m,n] += alpha * A[m,k] * B[k,n].
+// GEMM NN zero-skip. The scalar kernel skips a term whose multiplier
+// (alpha * a) is +-0, which is observable: the skipped 0 * inf or
+// 0 * NaN of B never reaches C, and a -0 in C stays -0.
 //
-// Register-blocked micro kernel: kRows rows x 16 columns of C held in
-// registers across one k block. Per element this performs the scalar
-// kernel's adds in the same ascending-k order (C round-trips through
-// memory in the scalar kernel, which does not round), and the
-// alpha*a==0 skip is applied per (row, kk) exactly as in scalar.
+// The NN kernel skips without a branch. Its A is often a ReLU-masked
+// gradient with zeros at random positions (the MLP's dX and dW products,
+// and the forward pass of a layer fed by a ReLU), where a per-(row, k)
+// `if (av == 0) continue;` mispredicts often. Instead a row block that
+// has a zero multiplier computes every term and blends the old
+// accumulator back where av is +-0 — the same bits as the scalar skip.
+// A row block with none (dense inputs, weights) takes the plain
+// multiply-add, so the blend costs it nothing. Which path a block takes
+// is decided once per depth block from A, for kFlagRows rows at a time
+// so the flags live on the stack.
 
-template <int kRows, bool kFma>
-void NnMicro16(int64_t k0, int64_t k1, int64_t k, int64_t n, float alpha,
-               const float* a, const float* b, float* c, int64_t j0) {
-  __m256 acc[kRows][2];
-  for (int r = 0; r < kRows; ++r) {
-    acc[r][0] = _mm256_loadu_ps(c + r * n + j0);
-    acc[r][1] = _mm256_loadu_ps(c + r * n + j0 + 8);
-  }
-  for (int64_t kk = k0; kk < k1; ++kk) {
-    const __m256 b0 = _mm256_loadu_ps(b + kk * n + j0);
-    const __m256 b1 = _mm256_loadu_ps(b + kk * n + j0 + 8);
-    for (int r = 0; r < kRows; ++r) {
-      const float av = alpha * a[r * k + kk];
-      if (av == 0.0f) continue;
-      const __m256 avv = _mm256_set1_ps(av);
-      acc[r][0] = MulAdd<kFma>(avv, b0, acc[r][0]);
-      acc[r][1] = MulAdd<kFma>(avv, b1, acc[r][1]);
-    }
-  }
-  for (int r = 0; r < kRows; ++r) {
-    _mm256_storeu_ps(c + r * n + j0, acc[r][0]);
-    _mm256_storeu_ps(c + r * n + j0 + 8, acc[r][1]);
+constexpr int64_t kFlagRows = 256;
+
+// With kSkip, acc + av * b except where av is +-0, where acc is kept;
+// without, acc + av * b.
+template <bool kFma, bool kSkip>
+inline __m256 SkipMulAdd(__m256 av, __m256 b, __m256 acc) {
+  const __m256 sum = MulAdd<kFma>(av, b, acc);
+  if constexpr (kSkip) {
+    // EQ_OQ is false for NaN, which the scalar `av == 0.0f` keeps too.
+    return _mm256_blendv_ps(
+        sum, acc, _mm256_cmp_ps(av, _mm256_setzero_ps(), _CMP_EQ_OQ));
+  } else {
+    return sum;
   }
 }
 
-template <int kRows, bool kFma>
-void NnMicro8(int64_t k0, int64_t k1, int64_t k, int64_t n, float alpha,
-              const float* a, const float* b, float* c, int64_t j0) {
-  __m256 acc[kRows];
-  for (int r = 0; r < kRows; ++r) acc[r] = _mm256_loadu_ps(c + r * n + j0);
-  for (int64_t kk = k0; kk < k1; ++kk) {
-    const __m256 b0 = _mm256_loadu_ps(b + kk * n + j0);
-    for (int r = 0; r < kRows; ++r) {
-      const float av = alpha * a[r * k + kk];
-      if (av == 0.0f) continue;
-      acc[r] = MulAdd<kFma>(_mm256_set1_ps(av), b0, acc[r]);
+// zero_free[i] = 1 when row i of A[rows, k] has no zero multiplier
+// alpha * a[i, kk] for kk in [k0, k1).
+void ZeroFreeRows(int64_t rows, int64_t k0, int64_t k1, int64_t k,
+                  float alpha, const float* a, uint8_t* zero_free) {
+  const __m256 alphav = _mm256_set1_ps(alpha);
+  for (int64_t i = 0; i < rows; ++i) {
+    const float* arow = a + i * k;
+    __m256 zero = _mm256_setzero_ps();
+    int64_t kk = k0;
+    for (; kk + 8 <= k1; kk += 8) {
+      const __m256 av = _mm256_mul_ps(alphav, _mm256_loadu_ps(arow + kk));
+      zero = _mm256_or_ps(
+          zero, _mm256_cmp_ps(av, _mm256_setzero_ps(), _CMP_EQ_OQ));
+    }
+    bool any = !_mm256_testz_ps(zero, zero);
+    for (; kk < k1; ++kk) any |= alpha * arow[kk] == 0.0f;
+    zero_free[i] = any ? 0 : 1;
+  }
+}
+
+// Runs tile(rows, i) over the rows [r0, r1) in blocks of 4, then 1;
+// `rows` is a std::integral_constant tag.
+template <typename Tile>
+inline void ForRowBlocks(int64_t r0, int64_t r1, const Tile& tile) {
+  int64_t i = r0;
+  for (; i + 4 <= r1; i += 4) tile(std::integral_constant<int, 4>{}, i);
+  for (; i < r1; ++i) tile(std::integral_constant<int, 1>{}, i);
+}
+
+// Load/store of 8 columns; the masked form covers a column tail of
+// 1..7 lanes and never touches memory past it.
+template <bool kMasked>
+inline __m256 Load8(const float* p, __m256i mask) {
+  if constexpr (kMasked) {
+    return _mm256_maskload_ps(p, mask);
+  } else {
+    return _mm256_loadu_ps(p);
+  }
+}
+
+template <bool kMasked>
+inline void Store8(float* p, __m256i mask, __m256 v) {
+  if constexpr (kMasked) {
+    _mm256_maskstore_ps(p, mask, v);
+  } else {
+    _mm256_storeu_ps(p, v);
+  }
+}
+
+// Lane mask for the first w (1..7) of 8 columns.
+inline __m256i TailMask(int64_t w) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(w)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
+// Runs step(vecs, masked, j0, mask) over the columns [0, n): 16-wide
+// steps (2 vectors), then at most one 8-wide step and one masked step
+// for the last 1..7 columns. `vecs` and `masked` are compile-time tags.
+template <typename Step>
+inline void ForColumnSteps(int64_t n, const Step& step) {
+  using Two = std::integral_constant<int, 2>;
+  using One = std::integral_constant<int, 1>;
+  const __m256i all = _mm256_set1_epi32(-1);
+  int64_t j0 = 0;
+  for (; j0 + 16 <= n; j0 += 16) step(Two{}, std::false_type{}, j0, all);
+  if (j0 + 8 <= n) {
+    step(One{}, std::false_type{}, j0, all);
+    j0 += 8;
+  }
+  if (j0 < n) step(One{}, std::true_type{}, j0, TailMask(n - j0));
+}
+
+// ---------------------------------------------------------------------
+// GEMM NN: C[m,n] += alpha * A[m,k] * B[k,n].
+//
+// Register-blocked micro kernel: kRows rows x kVecs * 8 columns of C
+// held in registers across one k block, or with kMasked (kVecs == 1) a
+// 1..7-column tail under `mask`. Per element this performs the scalar
+// kernel's adds in the same ascending-k order (C round-trips through
+// memory in the scalar kernel, which does not round), and the
+// alpha*a==0 skip is applied per (row, kk) exactly as in scalar, without
+// a branch (see the zero-skip note above).
+
+template <int kRows, int kVecs, bool kFma, bool kSkip, bool kMasked>
+void NnMicro(int64_t k0, int64_t k1, int64_t k, int64_t n, float alpha,
+             const float* a, const float* b, float* c, int64_t j0,
+             __m256i mask) {
+  __m256 acc[kRows][kVecs];
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kVecs; ++v) {
+      acc[r][v] = Load8<kMasked>(c + r * n + j0 + 8 * v, mask);
     }
   }
-  for (int r = 0; r < kRows; ++r) _mm256_storeu_ps(c + r * n + j0, acc[r]);
+  for (int64_t kk = k0; kk < k1; ++kk) {
+    __m256 bv[kVecs];
+    for (int v = 0; v < kVecs; ++v) {
+      bv[v] = Load8<kMasked>(b + kk * n + j0 + 8 * v, mask);
+    }
+    for (int r = 0; r < kRows; ++r) {
+      const __m256 avv = _mm256_set1_ps(alpha * a[r * k + kk]);
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] = SkipMulAdd<kFma, kSkip>(avv, bv[v], acc[r][v]);
+      }
+    }
+  }
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kVecs; ++v) {
+      Store8<kMasked>(c + r * n + j0 + 8 * v, mask, acc[r][v]);
+    }
+  }
 }
 
 template <bool kFma>
 void GemmNnAvx2(int64_t m, int64_t n, int64_t k, float alpha, const float* a,
                 const float* b, float* c) {
+  uint8_t zero_free[kFlagRows];
   for (int64_t k0 = 0; k0 < k; k0 += kGemmBlockK) {
     const int64_t k1 = std::min(k, k0 + kGemmBlockK);
-    int64_t j0 = 0;
-    for (; j0 + 16 <= n; j0 += 16) {
-      int64_t i = 0;
-      for (; i + 4 <= m; i += 4) {
-        NnMicro16<4, kFma>(k0, k1, k, n, alpha, a + i * k, b, c + i * n, j0);
-      }
-      for (; i < m; ++i) {
-        NnMicro16<1, kFma>(k0, k1, k, n, alpha, a + i * k, b, c + i * n, j0);
-      }
-    }
-    if (j0 + 8 <= n) {
-      int64_t i = 0;
-      for (; i + 4 <= m; i += 4) {
-        NnMicro8<4, kFma>(k0, k1, k, n, alpha, a + i * k, b, c + i * n, j0);
-      }
-      for (; i < m; ++i) {
-        NnMicro8<1, kFma>(k0, k1, k, n, alpha, a + i * k, b, c + i * n, j0);
-      }
-      j0 += 8;
-    }
-    if (j0 < n) {
-      // Scalar column tail: the reference loop order over [j0, n).
-      for (int64_t i = 0; i < m; ++i) {
-        const float* arow = a + i * k;
-        float* crow = c + i * n;
-        for (int64_t kk = k0; kk < k1; ++kk) {
-          const float av = alpha * arow[kk];
-          if (av == 0.0f) continue;
-          const float* brow = b + kk * n;
-          for (int64_t j = j0; j < n; ++j) {
-            crow[j] = MulAdd<kFma>(av, brow[j], crow[j]);
+    for (int64_t i0 = 0; i0 < m; i0 += kFlagRows) {
+      const int64_t i1 = std::min(m, i0 + kFlagRows);
+      ZeroFreeRows(i1 - i0, k0, k1, k, alpha, a + i0 * k, zero_free);
+      ForColumnSteps(n, [&](auto vecs, auto masked, int64_t j0,
+                            __m256i mask) {
+        ForRowBlocks(i0, i1, [&](auto rows, int64_t i) {
+          uint8_t dense = 1;
+          for (int r = 0; r < rows(); ++r) dense &= zero_free[i - i0 + r];
+          if (dense) {
+            NnMicro<rows(), vecs(), kFma, false, masked()>(
+                k0, k1, k, n, alpha, a + i * k, b, c + i * n, j0, mask);
+          } else {
+            NnMicro<rows(), vecs(), kFma, true, masked()>(
+                k0, k1, k, n, alpha, a + i * k, b, c + i * n, j0, mask);
           }
-        }
-      }
+        });
+      });
     }
   }
 }
@@ -253,60 +332,53 @@ void GemmNtAvx2(int64_t m, int64_t n, int64_t k, const float* a,
 // ---------------------------------------------------------------------
 // GEMM TN: rows [r0, r1) of C[m,n] += A[k,m]^T * B[k,n].
 //
-// C columns are vectorized; each element accumulates ascending l in a
-// register (the scalar kernel round-trips C through memory, which does
-// not round), with the a==0 skip applied per (l, row) as in scalar.
+// C columns are vectorized, in the same column steps as NN; each element
+// accumulates ascending l in a register (the scalar kernel round-trips C
+// through memory, which does not round), with the a==0 skip applied per
+// (l, row) as in scalar. The skip stays a branch here: TN's callers pass
+// convolution weights as A, which have no zeros, so it is always
+// predicted ([[unlikely]] keeps the multiply-add on the fall-through
+// path).
 
-template <int kRows, bool kFma>
-void TnMicro16(int64_t i, int64_t m, int64_t n, int64_t k, const float* a,
-               const float* b, float* c, int64_t j0) {
-  __m256 acc[kRows][2];
+template <int kRows, int kVecs, bool kFma, bool kMasked>
+void TnMicro(int64_t i, int64_t m, int64_t n, int64_t k, const float* a,
+             const float* b, float* c, int64_t j0, __m256i mask) {
+  __m256 acc[kRows][kVecs];
   for (int r = 0; r < kRows; ++r) {
-    acc[r][0] = _mm256_loadu_ps(c + (i + r) * n + j0);
-    acc[r][1] = _mm256_loadu_ps(c + (i + r) * n + j0 + 8);
+    for (int v = 0; v < kVecs; ++v) {
+      acc[r][v] = Load8<kMasked>(c + (i + r) * n + j0 + 8 * v, mask);
+    }
   }
   for (int64_t l = 0; l < k; ++l) {
-    const __m256 b0 = _mm256_loadu_ps(b + l * n + j0);
-    const __m256 b1 = _mm256_loadu_ps(b + l * n + j0 + 8);
+    __m256 bv[kVecs];
+    for (int v = 0; v < kVecs; ++v) {
+      bv[v] = Load8<kMasked>(b + l * n + j0 + 8 * v, mask);
+    }
     const float* arow = a + l * m + i;
     for (int r = 0; r < kRows; ++r) {
       const float av = arow[r];
-      if (av == 0.0f) continue;
+      if (av == 0.0f) [[unlikely]] continue;
       const __m256 avv = _mm256_set1_ps(av);
-      acc[r][0] = MulAdd<kFma>(avv, b0, acc[r][0]);
-      acc[r][1] = MulAdd<kFma>(avv, b1, acc[r][1]);
+      for (int v = 0; v < kVecs; ++v) {
+        acc[r][v] = MulAdd<kFma>(avv, bv[v], acc[r][v]);
+      }
     }
   }
   for (int r = 0; r < kRows; ++r) {
-    _mm256_storeu_ps(c + (i + r) * n + j0, acc[r][0]);
-    _mm256_storeu_ps(c + (i + r) * n + j0 + 8, acc[r][1]);
+    for (int v = 0; v < kVecs; ++v) {
+      Store8<kMasked>(c + (i + r) * n + j0 + 8 * v, mask, acc[r][v]);
+    }
   }
 }
 
 template <bool kFma>
 void GemmTnAvx2(int64_t r0, int64_t r1, int64_t m, int64_t n, int64_t k,
                 const float* a, const float* b, float* c) {
-  int64_t j0 = 0;
-  for (; j0 + 16 <= n; j0 += 16) {
-    int64_t i = r0;
-    for (; i + 4 <= r1; i += 4) TnMicro16<4, kFma>(i, m, n, k, a, b, c, j0);
-    for (; i < r1; ++i) TnMicro16<1, kFma>(i, m, n, k, a, b, c, j0);
-  }
-  if (j0 < n) {
-    // Scalar column tail: reference loop order over [j0, n).
-    for (int64_t l = 0; l < k; ++l) {
-      const float* arow = a + l * m;
-      const float* brow = b + l * n;
-      for (int64_t i = r0; i < r1; ++i) {
-        const float av = arow[i];
-        if (av == 0.0f) continue;
-        float* crow = c + i * n;
-        for (int64_t j = j0; j < n; ++j) {
-          crow[j] = MulAdd<kFma>(av, brow[j], crow[j]);
-        }
-      }
-    }
-  }
+  ForColumnSteps(n, [&](auto vecs, auto masked, int64_t j0, __m256i mask) {
+    ForRowBlocks(r0, r1, [&](auto rows, int64_t i) {
+      TnMicro<rows(), vecs(), kFma, masked()>(i, m, n, k, a, b, c, j0, mask);
+    });
+  });
 }
 
 // ---------------------------------------------------------------------

@@ -362,6 +362,130 @@ TEST(KernelColumnPositionTest, GemmColumnSliceMatchesFullProduct) {
 }
 
 // ---------------------------------------------------------------------
+// The zero-skip on ReLU-sparse operands. In the MLP's backward pass A is
+// the ReLU-masked upstream gradient: about half exact zeros at random
+// positions. The SIMD gemm_nn skips those terms without a branch (gemm_tn
+// keeps one), so a skipped 0 * inf or 0 * NaN must still never reach C,
+// and a -0 in C must stay -0.
+
+// Operands of C[m,n] += A * B where A (logically [m, k]) is ~50% zeros,
+// a fifth of them -0. Depth indices kk % 7 == 2 are poisoned: B's row kk
+// holds +inf, -inf and NaN, and A[i, kk] is zero for every sparse row.
+// Rows [4, 8) and the last row are dense (no zero multiplier at all, so
+// they take the plain multiply-add path and pick up the poison). Rows
+// with i % 6 == 0 are otherwise all zeros, a dead ReLU unit. C rows with
+// i % 3 == 0 start at -0, which only the skip keeps in the dead rows.
+struct SparseOperands {
+  std::vector<float> a_nn;  // [m, k]
+  std::vector<float> a_tn;  // [k, m], the same values transposed
+  std::vector<float> b;     // [k, n]
+  std::vector<float> c0;    // [m, n]
+};
+
+SparseOperands ReluSparseOperands(Rng* rng, int64_t m, int64_t n, int64_t k) {
+  SparseOperands s;
+  s.a_nn.resize(static_cast<size_t>(m * k));
+  s.a_tn.resize(s.a_nn.size());
+  for (int64_t i = 0; i < m; ++i) {
+    const bool dense = (i >= 4 && i < 8) || i == m - 1;
+    for (int64_t kk = 0; kk < k; ++kk) {
+      float v = static_cast<float>(rng->Gaussian(0.0, 1.0));
+      if (v == 0.0f) v = 1.0f;
+      if (!dense && (kk % 7 == 2 || i % 6 == 0 || rng->NextBool(0.5))) {
+        v = rng->NextBool(0.2) ? -0.0f : 0.0f;
+      }
+      s.a_nn[static_cast<size_t>(i * k + kk)] = v;
+      s.a_tn[static_cast<size_t>(kk * m + i)] = v;
+    }
+  }
+  const float poison[] = {std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()};
+  s.b.resize(static_cast<size_t>(k * n));
+  for (int64_t kk = 0; kk < k; ++kk) {
+    for (int64_t j = 0; j < n; ++j) {
+      s.b[static_cast<size_t>(kk * n + j)] =
+          kk % 7 == 2 ? poison[(kk + j) % 3]
+                      : static_cast<float>(rng->Gaussian(0.0, 1.0));
+    }
+  }
+  s.c0.resize(static_cast<size_t>(m * n));
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      s.c0[static_cast<size_t>(i * n + j)] =
+          i % 3 == 0 ? -0.0f : static_cast<float>(rng->Gaussian(0.0, 1.0));
+    }
+  }
+  return s;
+}
+
+// Compares `got` with the scalar result `want` element by element. A
+// NaN matches any NaN: its sign and payload are not part of the
+// contract, since x86 returns the first NaN operand of an add and the
+// compiler may commute the scalar kernel's operands. With `exact` every
+// other element must match bit for bit; without, only +-inf and -0 must
+// sit in the same places, and finite nonzero values may differ (the FMA
+// variant rounds once per term).
+void ExpectSameBits(const std::vector<float>& want,
+                    const std::vector<float>& got, bool exact,
+                    const std::string& what) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    const float w = want[i], g = got[i];
+    const bool bits = std::memcmp(&w, &g, sizeof(float)) == 0;
+    const bool same = std::isnan(w) ? std::isnan(g)
+                      : exact || std::isinf(w) || w == 0.0f
+                          ? bits
+                          : std::isfinite(g) && g != 0.0f;
+    ASSERT_TRUE(same) << what << ": element " << i << " is " << g
+                      << ", scalar gives " << w;
+  }
+}
+
+TEST_F(BackendParityTest, ZeroSkipOnReluSparseOperands) {
+  Rng rng(0x2e10);
+  std::vector<int64_t> widths;  // 16/8 bodies and every n % 8 tail
+  for (int64_t n = 1; n <= 33; ++n) widths.push_back(n);
+  // k = 300 crosses the kGemmBlockK depth block, and m = 300 the
+  // 256-row chunk of the NN kernel's zero-free flags.
+  for (const auto& [m, k] : {std::pair<int64_t, int64_t>{1, 9}, {9, 23},
+                            {13, 64}, {6, 300}, {300, 20}}) {
+    for (const int64_t n : widths) {
+      const SparseOperands s = ReluSparseOperands(&rng, m, n, k);
+      const std::string shape = " m=" + std::to_string(m) +
+                                " n=" + std::to_string(n) +
+                                " k=" + std::to_string(k);
+      for (const Backend* backend : {b_.avx2, b_.avx2fma}) {
+        const bool exact = !backend->fma;
+        const std::string what = std::string(backend->name) + shape;
+        for (float alpha : {1.0f, -0.5f}) {
+          auto want = s.c0;
+          b_.scalar->gemm_nn(m, n, k, alpha, s.a_nn.data(), s.b.data(),
+                             want.data());
+          auto got = s.c0;
+          backend->gemm_nn(m, n, k, alpha, s.a_nn.data(), s.b.data(),
+                           got.data());
+          ExpectSameBits(want, got, exact, "sparse gemm_nn " + what);
+        }
+        // Rows from 0, m / 3 and 5 shift the dense and sparse rows
+        // against the 4-row tiles; from 5, a tile mixes both.
+        for (const int64_t r0 : {int64_t{0}, m / 3, std::min<int64_t>(m, 5)}) {
+          auto want = s.c0;
+          b_.scalar->gemm_tn(r0, m, m, n, k, s.a_tn.data(), s.b.data(),
+                             want.data());
+          auto got = s.c0;
+          backend->gemm_tn(r0, m, m, n, k, s.a_tn.data(), s.b.data(),
+                           got.data());
+          ExpectSameBits(want, got, exact,
+                         "sparse gemm_tn rows from " + std::to_string(r0) +
+                             " " + what);
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // im2col / col2im: pure data movement — bitwise in EVERY backend.
 
 struct ConvShape {

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <thread>
 
+#include "common/crc32.h"
+#include "common/parallel.h"
 #include "common/random.h"
+#include "data/datasets.h"
+#include "data/table_view.h"
 #include "ml/adaboost.h"
 #include "ml/decision_tree.h"
 #include "ml/linear_models.h"
@@ -12,6 +18,7 @@
 #include "ml/model_zoo.h"
 #include "ml/random_forest.h"
 #include "ml/svm.h"
+#include "tensor/kernels/kernels.h"
 
 namespace tablegan {
 namespace ml {
@@ -222,6 +229,40 @@ TEST(MlpTest, LearnsBlobs) {
   EXPECT_GT(FitAndScore(&mlp, 7), 0.9);
 }
 
+// PredictProba runs the const Sequential::Infer, which writes no layer
+// state, so threads may predict on one model at once. The batched
+// PredictProbaAll gives the per-row bits.
+TEST(MlpTest, ConcurrentPredictionsMatchSerial) {
+  MlpOptions o;
+  o.hidden_sizes = {16, 8};
+  o.epochs = 3;
+  MlpClassifier mlp(o);
+  ASSERT_TRUE(mlp.Fit(BlobData(200, 21)).ok());
+  const MlData test = BlobData(96, 22);
+  std::vector<double> serial;
+  for (const auto& row : test.x) serial.push_back(mlp.PredictProba(row));
+  EXPECT_EQ(mlp.PredictProbaAll(test), serial);
+
+  std::vector<std::vector<double>> rowwise(4), batched(4);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 3; ++rep) {
+        rowwise[t].clear();
+        for (const auto& row : test.x) {
+          rowwise[t].push_back(mlp.PredictProba(row));
+        }
+        batched[t] = mlp.PredictProbaAll(test);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (size_t t = 0; t < 4; ++t) {
+    EXPECT_EQ(rowwise[t], serial) << "thread " << t;
+    EXPECT_EQ(batched[t], serial) << "thread " << t;
+  }
+}
+
 TEST(SvmTest, LearnsBlobsAndExposesMargin) {
   LinearSvmClassifier svm;
   EXPECT_GT(FitAndScore(&svm, 8), 0.9);
@@ -355,6 +396,52 @@ TEST(ModelZooTest, SpecNamesAreUnique) {
   for (const auto& s : ModelCompatibilityClassifiers()) names.insert(s.name);
   for (const auto& s : ModelCompatibilityRegressors()) names.insert(s.name);
   EXPECT_EQ(names.size(), 80u);
+}
+
+// CRC-32 over the held-out probabilities of every compatibility-grid
+// spec, each fit on the same Adult-like split (the label's source column
+// dropped, as the paper's protocol does).
+uint32_t CompatGridCrc() {
+  constexpr int64_t kTrain = 384, kTest = 128;
+  Rng rng(2018);
+  const data::Table all = data::MakeAdultLike(kTrain + kTest, &rng);
+  const int label =
+      all.schema().ColumnsWithRole(data::ColumnRole::kLabel).at(0);
+  const std::vector<int> drop = {*all.schema().FindColumn("hours_per_week")};
+  const MlData train = *TableToMlData(
+      data::TableRangeView(all, 0, kTrain).Materialize(), label, drop);
+  const MlData test = *TableToMlData(
+      data::TableRangeView(all, kTrain, kTest).Materialize(), label, drop);
+  uint32_t crc = 0;
+  for (const ClassifierSpec& spec : ModelCompatibilityClassifiers()) {
+    std::unique_ptr<Classifier> model = spec.make();
+    EXPECT_TRUE(model->Fit(train).ok()) << spec.name;
+    const std::vector<double> proba = model->PredictProbaAll(test);
+    crc = Crc32(proba.data(), proba.size() * sizeof(double), crc);
+  }
+  return crc;
+}
+
+// The grid's predictions are pinned: speeding up the tree, forest,
+// AdaBoost or MLP fits, or the GEMM kernels under the MLP, must keep
+// every bit. The strict avx2 backend matches scalar bit for bit, and
+// every fit is thread-count invariant, so one literal holds for all four
+// runs.
+TEST(ModelZooTest, CompatGridPredictionsArePinned) {
+  constexpr uint32_t kGridCrc = 0xcca559e5u;  // taken before the speed-ups
+  std::vector<const kernels::Backend*> backends = {&kernels::Scalar()};
+  if (const kernels::Backend* avx2 = kernels::Avx2(/*fma=*/false)) {
+    backends.push_back(avx2);
+  }
+  for (const kernels::Backend* backend : backends) {
+    kernels::OverrideBackend(backend);
+    for (int threads : {1, 4}) {
+      ScopedNumThreads scope(threads);
+      EXPECT_EQ(CompatGridCrc(), kGridCrc)
+          << backend->name << " at " << threads << " threads";
+    }
+  }
+  kernels::OverrideBackend(nullptr);
 }
 
 }  // namespace

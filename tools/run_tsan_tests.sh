@@ -2,8 +2,9 @@
 # Builds the repo with TABLEGAN_SANITIZE=thread and runs the substrate
 # tests (common / tensor / nn layers) plus the parallel evaluation
 # pipeline tests (sampling, DCR, fidelity) that exercise the
-# thread-parallel GEMM, convolution and nearest-neighbor kernels under
-# ThreadSanitizer.
+# thread-parallel GEMM, convolution and nearest-neighbor kernels, and
+# the ml tests (random-forest fits on the pool, concurrent MLP
+# predictions) under ThreadSanitizer.
 #
 # Usage: tools/run_tsan_tests.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -30,6 +31,7 @@ tsan_tests=(
   chunked_test
   gmm_normalizer_test
   conditional_test
+  ml_test
 )
 
 cmake -B "${build_dir}" -S "${repo_root}" \
